@@ -1,7 +1,7 @@
 """The assessment pipeline: the paper's methodology as one call."""
 
 from .assessment import AssessmentResult
-from .cache import CACHE_MISS, MemoryCache, ResultCache
+from .cache import CACHE_MISS, MemoryCache
 from .config import PipelineConfig
 from .diff import (
     AssessmentDiff,
@@ -9,6 +9,7 @@ from .diff import (
     VerdictTransition,
     assessment_view_from_dict,
     diff_assessments,
+    finding_diff,
     gap_reduction,
     load_assessment_view,
 )
@@ -26,7 +27,6 @@ from .pipeline import AssessmentPipeline, assess_corpus, assess_sources
 __all__ = [
     "CACHE_MISS",
     "MemoryCache",
-    "ResultCache",
     "chunk_evenly",
     "worker_count",
     "AssessmentDiff",
@@ -34,6 +34,7 @@ __all__ = [
     "VerdictTransition",
     "assessment_view_from_dict",
     "diff_assessments",
+    "finding_diff",
     "gap_reduction",
     "load_assessment_view",
     "Effort",

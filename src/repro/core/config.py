@@ -12,7 +12,7 @@ from ..iso26262.compliance import ComplianceThresholds
 from ..obs import EventLog, Tracer
 from ..report.base import ReportTargets
 from ..rules import Baseline, RuleProfile
-from .cache import ResultCache
+from ..store.objects import ObjectStore
 
 
 @dataclass
@@ -45,8 +45,8 @@ class PipelineConfig:
         executor: pool flavor for ``jobs > 1`` — ``"thread"`` (no
             pickling, GIL-bound) or ``"process"`` (true CPU
             parallelism; payloads cross process boundaries).
-        cache: optional content-addressed :class:`~repro.core.cache.
-            ResultCache`; unchanged files short-circuit to cached parse
+        cache: optional content-addressed :class:`~repro.store.objects.
+            ObjectStore`; unchanged files short-circuit to cached parse
             results and per-unit checker reports.  A store-backed cache
             (:meth:`repro.store.store.Store.object_store`) additionally
             redirects writes into a per-process shard directory for
@@ -102,7 +102,7 @@ class PipelineConfig:
     log: Optional[EventLog] = None
     jobs: int = 1
     executor: str = "thread"
-    cache: Optional[ResultCache] = None
+    cache: Optional[ObjectStore] = None
     shard: Optional[str] = None
     rules: Optional[RuleProfile] = None
     baseline: Optional[Baseline] = None

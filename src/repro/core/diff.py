@@ -1,28 +1,36 @@
 """Assessment diffing: quantify what a remediation campaign achieved.
 
 Compares two :class:`~repro.core.assessment.AssessmentResult` objects
-(e.g. baseline vs. remediated codebase) technique by technique, reporting
-verdict transitions and residual gaps — the evidence a safety case would
-attach to a remediation milestone.
+(e.g. baseline vs. remediated codebase) at two levels:
+
+* **verdicts** — :func:`diff_assessments` and :func:`gap_reduction`
+  walk the requirement tables technique by technique, reporting
+  verdict transitions and residual gaps — the evidence a safety case
+  would attach to a remediation milestone;
+* **findings** — :func:`finding_diff` reports which individual
+  findings appeared or disappeared, and which rules they belong to.
 
 Two user-facing surfaces consume this module:
 
-* ``repro-assess --diff-baseline FILE`` diffs the current run against a
-  previous run's ``--json`` document (rehydrated through
-  :func:`assessment_view_from_dict`);
+* ``repro-assess --diff-baseline FILE`` diffs the current run's
+  verdicts against a previous run's ``--json`` document (rehydrated
+  through :func:`assessment_view_from_dict`);
 * the ``repro-serve`` ``diff`` verb and ``--watch`` stream diff each
-  fresh assessment against the daemon's in-memory previous one.
+  fresh assessment against the daemon's in-memory previous one, at
+  both levels.
 
-Both accept anything shaped like an assessment — a live
+The verdict level accepts anything shaped like an assessment — a live
 :class:`~repro.core.assessment.AssessmentResult` or the lightweight
-view rebuilt from JSON — because :func:`diff_assessments` and
-:func:`gap_reduction` only walk ``tables -> assessments -> technique``.
+view rebuilt from JSON — because it only walks ``tables -> assessments
+-> technique``.  The finding level needs two live results: a saved
+``--json`` document carries per-checker counts, not findings.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from ..errors import BaselineError
 from ..iso26262.compliance import GapSeverity, Verdict
@@ -170,6 +178,42 @@ def gap_reduction(before: AssessmentResult,
     after_total = weighted(after)
     return {"before": before_total, "after": after_total,
             "reduction": before_total - after_total}
+
+
+def _located_counts(result: AssessmentResult) -> Counter:
+    """Multiset of ``(checker, located-string, rule)`` across reports."""
+    counts: Counter = Counter()
+    for name, report in result.reports.items():
+        for finding in report.findings:
+            counts[(name, finding.located(), finding.rule)] += 1
+    return counts
+
+
+def finding_diff(before: AssessmentResult,
+                 after: AssessmentResult) -> Dict[str, Any]:
+    """Findings that appeared (``new``) or disappeared (``fixed``).
+
+    Findings are compared as multisets of their :meth:`~repro.checkers.
+    base.Finding.located` strings — two identical findings on different
+    lines of the same file are distinct, two byte-identical ones
+    collapse — so an identical-rewrite touch produces an empty diff by
+    construction.  ``rules_changed`` names every rule on either side.
+    """
+    before_counts = _located_counts(before)
+    after_counts = _located_counts(after)
+    new: List[str] = []
+    fixed: List[str] = []
+    rules_changed = set()
+    for key, count in (after_counts - before_counts).items():
+        _, located, rule = key
+        new.extend([located] * count)
+        rules_changed.add(rule)
+    for key, count in (before_counts - after_counts).items():
+        _, located, rule = key
+        fixed.extend([located] * count)
+        rules_changed.add(rule)
+    return {"new": sorted(new), "fixed": sorted(fixed),
+            "rules_changed": sorted(rules_changed)}
 
 
 # ----------------------------------------------------------------------

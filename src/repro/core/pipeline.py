@@ -377,7 +377,8 @@ class AssessmentPipeline:
         objects`` area under the store root: the worker persists its
         own results, the parent absorbs the areas on join, and a killed
         run leaves behind valid shard directories ``repro-store merge``
-        folds in.  Plain ``--cache`` runs (no base) are untouched.
+        folds in.  Caches without a base (in-memory, or a bare
+        :class:`~repro.store.objects.ObjectStore`) are untouched.
         Returns the armed shard directories (empty when inactive).
         """
         cache = self.config.cache

@@ -40,7 +40,6 @@ from .metrics import (
 )
 from .runlog import (
     LEDGER_SCHEMA,
-    RunLedger,
     RunRecord,
     build_run_record,
     new_run_id,
@@ -62,7 +61,6 @@ __all__ = [
     "NULL_LOG",
     "NULL_TRACER",
     "NullTracer",
-    "RunLedger",
     "RunRecord",
     "Span",
     "Tracer",

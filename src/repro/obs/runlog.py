@@ -1,28 +1,19 @@
-"""The run ledger: one append-only manifest per assessment run.
+"""Run manifests: one record per assessment run.
 
-PR 2's tracer and metrics die with the process; the ledger is the
-cross-run memory.  Every assessment (when ``--ledger`` or ``--store``
-is enabled) appends one :class:`RunRecord` — a JSON line capturing
-*what was assessed, with what configuration, how long each stage took,
-what faults were absorbed, and what was found* — to
-``<DIR>/runs.jsonl``.  The trend layer (:mod:`repro.obs.trends`) reads
-the ledger back to plot finding counts per rule and stage timings over
-time and to gate CI on regressions.
+The tracer and metrics die with the process; the run history is the
+cross-run memory.  Every ``--store`` assessment appends one
+:class:`RunRecord` — a JSON line capturing *what was assessed, with
+what configuration, how long each stage took, what faults were
+absorbed, what was found, and which objects it read or wrote* — to
+``<store>/runs.jsonl``.  The trend layer (:mod:`repro.obs.trends`)
+reads the history back to plot finding counts per rule and stage
+timings over time and to gate CI on regressions.
 
-Since the store refactor, the table mechanics live in
-:class:`repro.store.history.RunHistory` — the run-history side of the
-sharded persistence layer — and :class:`RunLedger` is that class under
-its historical name.  The on-disk format is unchanged (every old
-ledger directory is a valid history), and the store adds what a single
-JSONL file could not: per-shard run tables unioned on read, canonical
-order-independent merging of many machines' histories
-(``repro-store merge``, including ``--from-ledger`` imports of legacy
-directories), and run-manifest object references that pin a run's
-cache entries against GC.
-
-What stays here is the *assembly*: :func:`build_run_record` knows the
-pipeline, tracer, and cache shapes well enough to distill one finished
-assessment into a schema-stable manifest.
+The table mechanics — appends, reads, shard unions, canonical merges —
+live in :class:`repro.store.history.RunHistory`.  What stays here is
+the *assembly*: :func:`build_run_record` knows the pipeline, tracer,
+and cache shapes well enough to distill one finished assessment into a
+schema-stable manifest.
 """
 
 from __future__ import annotations
@@ -34,7 +25,6 @@ from typing import Dict, List, Optional
 from ..store.history import (
     LEDGER_FILENAME,
     LEDGER_SCHEMA,
-    RunHistory,
     RunRecord,
     new_run_id,
 )
@@ -42,7 +32,6 @@ from ..store.history import (
 __all__ = [
     "LEDGER_FILENAME",
     "LEDGER_SCHEMA",
-    "RunLedger",
     "RunRecord",
     "STAGE_NAMES",
     "build_run_record",
@@ -56,17 +45,6 @@ STAGE_NAMES = ("parse", "metrics", "checkers", "evidence", "compliance",
 #: Parallel-engine fault counters folded into every record.
 FAULT_COUNTERS = ("task_timeouts", "worker_deaths", "task_errors",
                   "task_retries", "serial_fallbacks")
-
-
-class RunLedger(RunHistory):
-    """Append-only JSONL store of :class:`RunRecord` manifests.
-
-    The historical name for :class:`repro.store.history.RunHistory`:
-    ``append`` writes one ``os.O_APPEND`` JSON line per run,
-    ``records``/``tail`` read them back oldest-first (skipping and
-    counting corrupt lines), and — when the directory is a sharded
-    store root — per-shard run tables are unioned in by run id.
-    """
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +102,11 @@ def build_run_record(result, *, run_id: str, duration: float,
             (``None`` skips the fingerprints and fan-out fields).
         tracer: the run's :class:`~repro.obs.Tracer`; supplies stage
             times, fault counters, and hotspots when present.
-        cache: the :class:`~repro.core.cache.ResultCache` (or any
-            :class:`~repro.store.objects.ObjectStore`), for its
-            hit/miss/put/corruption accounting; a store-backed cache
-            (``record_references`` set) additionally pins the object
-            keys it touched into the manifest, for GC retention.
+        cache: the run's :class:`~repro.store.objects.ObjectStore`
+            (or a per-request view of one), for its hit/miss/put/
+            corruption accounting; the object keys it touched
+            (``referenced``) are pinned into the manifest, for GC
+            retention.
         files: input file count (defaults to units + unparseable).
         timestamp: ISO timestamp override for deterministic tests.
     """
@@ -168,8 +146,7 @@ def build_run_record(result, *, run_id: str, duration: float,
             "puts": getattr(cache, "puts", 0),
             "corrupt_entries": getattr(cache, "corrupt_entries", 0),
         }
-        if getattr(cache, "record_references", False):
-            object_keys = sorted(getattr(cache, "referenced", ()))
+        object_keys = sorted(cache.referenced)
 
     units = result.unit_count
     unparseable = len(result.unparseable)

@@ -333,9 +333,9 @@ def build_report_model(result, sources: Mapping[str, str], *,
             charts and Cobertura export.
         tracer: the run's tracer, for profile hotspots (skipped when
             absent or disabled).
-        ledger: optional :class:`~repro.obs.runlog.RunLedger` to read
-            trend series from; an unreadable or empty ledger simply
-            yields no trends.
+        ledger: optional :class:`~repro.store.history.RunHistory` to
+            read trend series from; an unreadable or empty history
+            simply yields no trends.
         trend_last: trend look-back window, in runs.
     """
     registry = registry if registry is not None else REGISTRY

@@ -8,8 +8,9 @@ cache — resident in one process and answers ``assess`` / ``diff`` /
 stat-first incremental tree watcher (:mod:`.watcher`) on top: only
 changed files are re-read, only their parse/check stages re-run
 (everything else is a content-addressed cache hit), and each material
-change streams a verdict- plus finding-level diff (:mod:`.stream`)
-against the previous assessment.
+change streams a verdict- plus finding-level diff
+(:mod:`repro.core.diff`, via :mod:`.stream`) against the previous
+assessment.
 
 Fault containment is per-request: a checker crash degrades one reply
 (``"degraded": true`` — the protocol's exit-code-3), never the daemon.
@@ -23,7 +24,7 @@ from .protocol import (
     parse_request,
 )
 from .server import AssessmentServer, run_stdio, run_tcp
-from .stream import finding_diff, watch_events
+from .stream import watch_events
 from .watcher import TreeWatcher, WatchDelta
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "WatchDelta",
     "encode_reply",
     "error_reply",
-    "finding_diff",
     "parse_request",
     "run_stdio",
     "run_tcp",

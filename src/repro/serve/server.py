@@ -16,12 +16,13 @@ CLI's exit code 3), and an unexpected fault in the serve layer itself
 is caught and answered as ``ok: false`` — the daemon keeps serving
 either way.
 
-Store- or ledger-backed serving appends one
-:class:`~repro.obs.runlog.RunRecord` per assessment through the same
-:class:`~repro.store.history.RunHistory` the one-shot CLI uses, so
-watch iterations and served requests feed the ``repro-trends`` window
-exactly like standalone runs — with *per-request* cache deltas, not
-process-lifetime totals.
+Store-backed serving (``--store DIR``, the one persistence surface)
+appends one :class:`~repro.obs.runlog.RunRecord` per assessment
+through the same :class:`~repro.store.history.RunHistory` the one-shot
+CLI uses, so watch iterations and served requests feed the
+``repro-trends`` window exactly like standalone runs — with
+*per-request* cache deltas and object references, not process-lifetime
+totals.  Without a store the daemon records nothing.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from ..core.cache import MemoryCache, ResultCache
+from ..core.cache import MemoryCache
 from ..core.config import PipelineConfig
 from ..core.diff import (
     diff_assessments,
+    finding_diff,
     gap_reduction,
     load_assessment_view,
 )
@@ -43,15 +45,14 @@ from ..errors import ReproError, ServeError
 from ..obs import (
     EventLog,
     NULL_LOG,
-    RunLedger,
     Tracer,
     build_run_record,
     new_run_id,
 )
 from ..rules import REGISTRY, RuleProfile
+from ..store.objects import ObjectStore
 from .protocol import PROTOCOL_VERSION, encode_reply, error_reply, \
     parse_request
-from .stream import finding_diff
 from .watcher import TreeWatcher, WatchDelta
 
 __all__ = ["AssessmentServer", "run_stdio", "run_tcp"]
@@ -61,20 +62,22 @@ class _CacheDelta:
     """One request's slice of the shared cache accounting.
 
     :func:`~repro.obs.runlog.build_run_record` reads hit/miss/put/
-    corruption counts off whatever cache object it is handed; a daemon
-    must hand it the *request's* delta, not the process-lifetime
-    totals, or every served run's manifest would double-count its
-    predecessors'.
+    corruption counts and the referenced object keys off whatever
+    cache object it is handed; a daemon must hand it the *request's*
+    delta, not the process-lifetime totals, or every served run's
+    manifest would double-count its predecessors' — and would pin
+    every superseded version of every edited file against GC.
+    Opening a delta therefore starts a fresh ``referenced`` set on the
+    cache, which then collects exactly this request's keys.
     """
 
-    def __init__(self, cache: ResultCache) -> None:
+    def __init__(self, cache: ObjectStore) -> None:
         self._cache = cache
         self._hits = cache.hits
         self._misses = cache.misses
         self._puts = cache.puts
         self._corrupt = cache.corrupt_entries
-        self.record_references = getattr(cache, "record_references",
-                                         False)
+        self.referenced = cache.referenced = set()
 
     @property
     def hits(self) -> int:
@@ -92,10 +95,6 @@ class _CacheDelta:
     def corrupt_entries(self) -> int:
         return self._cache.corrupt_entries - self._corrupt
 
-    @property
-    def referenced(self):
-        return getattr(self._cache, "referenced", ())
-
     def to_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "puts": self.puts,
@@ -112,9 +111,7 @@ class AssessmentServer:
 
     def __init__(self, root: Optional[str] = None, *,
                  profile: Optional[RuleProfile] = None,
-                 store=None, ledger_dir: Optional[str] = None,
-                 cache: Optional[ResultCache] = None,
-                 jobs: int = 1, executor: str = "thread",
+                 store=None, jobs: int = 1, executor: str = "thread",
                  strict: bool = False,
                  task_timeout: Optional[float] = None,
                  log: Optional[EventLog] = None,
@@ -122,11 +119,8 @@ class AssessmentServer:
         self.log = log if log is not None else NULL_LOG
         self.profile = profile
         self.store = store
-        self.ledger_dir = ledger_dir
-        if cache is None:
-            cache = (store.object_store() if store is not None
-                     else MemoryCache())
-        self.cache = cache
+        self.cache = (store.object_store() if store is not None
+                      else MemoryCache())
         self.jobs = jobs
         self.executor = executor
         self.strict = strict
@@ -232,7 +226,7 @@ class AssessmentServer:
     def _record_run(self, result, root: str, duration: float,
                     tracer: Optional[Tracer], delta: _CacheDelta,
                     files: int) -> Optional[str]:
-        if self.store is None and self.ledger_dir is None:
+        if self.store is None:
             return None
         run_id = new_run_id()
         record = build_run_record(
@@ -240,10 +234,7 @@ class AssessmentServer:
             exit_code=3 if result.degraded else 0,
             config=self._config(tracer), tracer=tracer,
             cache=delta, files=files)
-        if self.ledger_dir is not None:
-            RunLedger(self.ledger_dir).append(record)
-        if self.store is not None:
-            self.store.history().append(record)
+        self.store.history().append(record)
         return run_id
 
     # ------------------------------------------------------------------
@@ -313,9 +304,7 @@ class AssessmentServer:
             if not sources:
                 raise ServeError(
                     f"no C/C++/CUDA sources found under {root}")
-            tracer = (Tracer()
-                      if self.store is not None
-                      or self.ledger_dir is not None else None)
+            tracer = Tracer() if self.store is not None else None
             delta = _CacheDelta(self.cache)
             start = time.perf_counter()
             result = AssessmentPipeline(self._config(tracer)).run(sources)

@@ -1,62 +1,24 @@
-"""Watch-mode streaming: finding-level diffs between live assessments.
+"""Watch-mode streaming: verdict- and finding-level diffs, live.
 
-:mod:`repro.core.diff` compares two assessments at the verdict level —
-which ISO 26262 techniques improved or regressed.  The watch loop needs
-one level finer: *which findings* appeared or disappeared when a file
-changed, and *which rules* those findings belong to.  Both layers ride
-in every streamed event, so a CI tail sees "edit to ``control.cpp``
-added two ``M15.1`` findings and flipped goto-usage to non-compliant"
-in a single JSON line.
-
-Findings are compared as multisets of their :meth:`~repro.checkers.
-base.Finding.located` strings — two identical findings on different
-lines of the same file are distinct, two byte-identical ones collapse —
-so an identical-rewrite touch produces an empty diff by construction.
+The watch loop re-assesses a tree whenever it changes and streams one
+JSON event per assessment.  Each update event carries both diff layers
+of :mod:`repro.core.diff` against the previous iteration — which ISO
+26262 techniques changed verdict, and *which findings* appeared or
+disappeared (with the rules they belong to) — so a CI tail sees "edit
+to ``control.cpp`` added two ``M15.1`` findings and flipped goto-usage
+to non-compliant" in a single JSON line.  Both layers come from one
+:meth:`~repro.serve.server.AssessmentServer.diff` reply, the same one
+the ``diff`` verb answers with.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator
 
 from ..errors import ReproError
 
-__all__ = ["finding_diff", "watch_events"]
-
-
-def _located_counts(result) -> Counter:
-    """Multiset of ``(checker, located-string, rule)`` across reports."""
-    counts: Counter = Counter()
-    for name, report in result.reports.items():
-        for finding in report.findings:
-            counts[(name, finding.located(), finding.rule)] += 1
-    return counts
-
-
-def finding_diff(before, after) -> Dict[str, Any]:
-    """Findings that appeared (``new``) or disappeared (``fixed``).
-
-    Both operands are live :class:`~repro.core.assessment.
-    AssessmentResult` objects (a saved ``--json`` baseline carries only
-    per-checker counts, not individual findings — verdict-level diffing
-    via :func:`~repro.core.diff.diff_assessments` covers that case).
-    """
-    before_counts = _located_counts(before)
-    after_counts = _located_counts(after)
-    new: List[str] = []
-    fixed: List[str] = []
-    rules_changed = set()
-    for key, count in (after_counts - before_counts).items():
-        _, located, rule = key
-        new.extend([located] * count)
-        rules_changed.add(rule)
-    for key, count in (before_counts - after_counts).items():
-        _, located, rule = key
-        fixed.extend([located] * count)
-        rules_changed.add(rule)
-    return {"new": sorted(new), "fixed": sorted(fixed),
-            "rules_changed": sorted(rules_changed)}
+__all__ = ["watch_events"]
 
 
 def watch_events(server, root: str, *, iterations: int = 0,
@@ -95,7 +57,6 @@ def watch_events(server, root: str, *, iterations: int = 0,
         delta = server.refresh(root)
         if not delta.material:
             continue
-        previous = server.results.get(root)
         try:
             reply = server.assess(root, refresh=False)
         except ReproError as error:
@@ -105,12 +66,9 @@ def watch_events(server, root: str, *, iterations: int = 0,
                    "delta": delta.to_dict(), "error": str(error),
                    "degraded": True}
             continue
-        current = server.results[root]
-        event: Dict[str, Any] = {
+        diff = server.diff(root)
+        yield {
             "event": "update", "iteration": count,
             "delta": delta.to_dict(), **reply,
+            "diff": diff["verdicts"], "finding_diff": diff["findings"],
         }
-        if previous is not None:
-            event["diff"] = server.diff(root)["verdicts"]
-            event["finding_diff"] = finding_diff(previous, current)
-        yield event

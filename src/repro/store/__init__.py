@@ -1,32 +1,34 @@
 """Sharded, content-addressed persistence for the assessment stack.
 
-One store directory holds everything an assessment persists across
-runs, processes, and machines:
+This package is the one persistence surface: ``--store DIR`` on
+``repro-assess`` and ``repro-serve``, read back by ``repro-trends
+--store`` and administered by ``repro-store``.  One store directory
+holds everything an assessment persists across runs, processes, and
+machines:
 
 * ``objects/`` — the content-addressed object area (two-level fanout,
-  atomic writes); the result cache's entries live here;
-* ``runs.jsonl`` — the run-history table (one JSON manifest per run),
-  subsuming the PR 6 run ledger format byte-for-byte;
+  atomic writes); the result cache's entries live here
+  (:meth:`Store.object_store`);
+* ``runs.jsonl`` — the run-history table, one JSON manifest per run
+  (:meth:`Store.history`);
 * ``shard-<host>-<pid>*/`` — per-process shard directories, each a
   miniature store (its own object area + run table) that one writer
   owns exclusively, so concurrent invocations and worker pools never
   contend on shared files.
 
 :func:`~repro.store.merge.merge_into` folds any number of shards (and
-whole foreign stores, and legacy ``--ledger`` JSONL directories) into a
-master store *idempotently and commutatively*: the merged master's
-bytes are identical regardless of merge order, because objects resolve
-content-addressed and run manifests union by run id into a canonical
-sorted table.  That is the scale-out contract — one corpus split across
-N machines, each writing its own shard, merged into one master that a
-final assessment replays byte-identically (the mini-coverage
-``Storage`` pattern: process-private partial databases combined into a
-master).
+whole foreign stores, bare object areas, and bare ``runs.jsonl``
+directories) into a master store *idempotently and commutatively*: the
+merged master's bytes are identical regardless of merge order, because
+objects resolve content-addressed and run manifests union by run id
+into a canonical sorted table.  That is the scale-out contract — one
+corpus split across N machines, each writing its own shard, merged
+into one master that a final assessment replays byte-identically (the
+mini-coverage ``Storage`` pattern: process-private partial databases
+combined into a master).  It is also the migration path for a flat
+cache directory and a run-ledger directory written by older releases::
 
-The legacy surfaces are thin facades over this layer:
-:class:`repro.core.cache.ResultCache` is an :class:`ObjectStore` whose
-object area is its root directory, and
-:class:`repro.obs.runlog.RunLedger` is a :class:`RunHistory`.
+    repro-store merge STORE --from OLD_CACHE_DIR --from-ledger OLD_LEDGER_DIR
 """
 
 from .gc import GcStats, collect_garbage

@@ -9,9 +9,15 @@ Subcommands::
 
 ``merge`` always folds the store's own ``shard-*/`` directories into
 the master areas (``--keep-shards`` preserves them); ``--from`` pulls
-in foreign stores or shard directories (read-only), and
-``--from-ledger`` imports legacy ``--ledger`` JSONL run tables.  Exit
-codes follow the house convention: 0 success, 2 unusable invocation.
+in foreign stores, shard directories, or bare object areas
+(read-only), and ``--from-ledger`` imports a directory holding a bare
+``runs.jsonl`` run table.  Together they migrate a flat cache and run
+ledger into one store::
+
+    repro-store merge STORE --from OLD_CACHE_DIR --from-ledger OLD_LEDGER_DIR
+
+Exit codes follow the house convention: 0 success, 2 unusable
+invocation.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "object area; read-only; repeatable)")
     merge.add_argument("--from-ledger", dest="ledgers", action="append",
                        default=[], metavar="DIR",
-                       help="import a legacy --ledger JSONL "
-                            "directory's run history (repeatable)")
+                       help="import the run history of a directory "
+                            "holding a bare runs.jsonl (repeatable)")
     merge.add_argument("--keep-shards", action="store_true",
                        help="leave the store's own shard directories "
                             "in place after merging")

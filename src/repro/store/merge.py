@@ -15,10 +15,10 @@ The contract (pinned by ``tests/store/test_merge.py``):
   then removed (pass ``remove_shards=False`` to keep them).
 
 A "source" is anything shaped like a store: a full store root, a
-single shard directory, or a bare object area.  Legacy ``--ledger``
-JSONL directories import through the same path
-(:func:`import_ledger` / ``repro-store merge --from-ledger``): their
-run manifests union into the master table, objects simply absent.
+single shard directory, or a bare object area.  A directory holding
+only a ``runs.jsonl`` run table imports through the same path
+(:func:`import_ledger` / ``repro-store merge --from-ledger``): its run
+manifests union into the master table, objects simply absent.
 """
 
 from __future__ import annotations
@@ -228,10 +228,10 @@ def merge_into(store: Store, sources: Sequence[str] = (),
                              stats=stats)
         stats.sources.append(source)
 
-    for ledger_dir in ledgers:
-        table = os.path.join(ledger_dir, LEDGER_FILENAME)
-        pools.append((RunHistory(ledger_dir)._parse_file(table), True))
-        stats.sources.append(ledger_dir)
+    for directory in ledgers:
+        table = os.path.join(directory, LEDGER_FILENAME)
+        pools.append((RunHistory(directory)._parse_file(table), True))
+        stats.sources.append(directory)
 
     history.rewrite(_union_documents(pools, stats))
     if remove_shards:
@@ -246,6 +246,6 @@ def merge_shards(store: Store, remove_shards: bool = True) -> MergeStats:
 
 
 def import_ledger(store: Store, directory: str) -> MergeStats:
-    """Union a legacy ``--ledger`` JSONL directory's runs into the
-    master run table (the ``repro-store merge --from-ledger`` path)."""
+    """Union a bare ``runs.jsonl`` directory's runs into the master
+    run table (the ``repro-store merge --from-ledger`` path)."""
     return merge_into(store, ledgers=[directory])

@@ -79,10 +79,6 @@ class ObjectStore:
             absence.
         referenced: every key this process hit or wrote — the material
             a run manifest pins so GC never sweeps a run's entries.
-        record_references: when True, :func:`~repro.obs.runlog.
-            build_run_record` copies :attr:`referenced` into the run
-            manifest (store-backed runs only; plain ``--cache`` runs
-            keep their manifests byte-identical to earlier releases).
         worker_shard_base: optional store root under which the pipeline
             may create per-worker shard directories for its fan-out
             (set by ``--store``; ``None`` keeps puts in the parent).
@@ -103,7 +99,6 @@ class ObjectStore:
         self.puts = 0
         self.corrupt_entries = 0
         self.referenced = set()
-        self.record_references = False
         self.worker_shard_base: Optional[str] = None
         self.metrics: MetricsRegistry = _NULL_METRICS
         self.log: EventLog = NULL_LOG
@@ -153,9 +148,6 @@ class ObjectStore:
         """Filesystem path of the entry for ``key`` (may not exist)."""
         return os.path.join(root if root is not None else self.root,
                             key[:2], key + ".pkl")
-
-    # Backwards-compatible alias.
-    _entry_path = entry_path
 
     def _read_roots(self) -> Tuple[str, ...]:
         if self.shard_root is not None:

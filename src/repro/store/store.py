@@ -99,7 +99,6 @@ class Store:
                                       OBJECTS_DIRNAME)
         area = ObjectStore(self.objects_root, shard_root=shard_root)
         area.worker_shard_base = self.root
-        area.record_references = True
         self.sweep_dead_worker_shards(area)
         return area
 

@@ -14,7 +14,6 @@ from repro.core import (
     AssessmentPipeline,
     CACHE_MISS,
     PipelineConfig,
-    ResultCache,
     chunk_evenly,
     worker_count,
 )
@@ -26,6 +25,7 @@ from repro.checkers.style import StyleChecker, StyleConfig
 from repro.corpus import apollo_spec, generate_corpus
 from repro.errors import ConfigError
 from repro.obs import Tracer
+from repro.store import ObjectStore
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +68,14 @@ class TestDeterminism:
 
     def test_cold_then_warm_cache(self, tmp_path, corpus_sources,
                                   serial_result):
-        cold_cache = ResultCache(str(tmp_path))
+        cold_cache = ObjectStore(str(tmp_path))
         cold = AssessmentPipeline(
             PipelineConfig(cache=cold_cache)).run(corpus_sources)
         assert_identical(cold, serial_result)
         assert cold_cache.hits == 0
         assert cold_cache.misses == 2 * len(corpus_sources)
 
-        warm_cache = ResultCache(str(tmp_path))
+        warm_cache = ObjectStore(str(tmp_path))
         warm = AssessmentPipeline(
             PipelineConfig(cache=warm_cache)).run(corpus_sources)
         assert_identical(warm, serial_result)
@@ -85,9 +85,9 @@ class TestDeterminism:
     def test_warm_cache_with_parallel_jobs(self, tmp_path, corpus_sources,
                                            serial_result):
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             jobs=3)).run(corpus_sources)
         assert_identical(result, serial_result)
 
@@ -95,10 +95,10 @@ class TestDeterminism:
                                                   corpus_sources):
         sources = dict(corpus_sources)
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(sources)
+            cache=ObjectStore(str(tmp_path)))).run(sources)
         path = sorted(sources)[0]
         sources[path] = sources[path] + "\nint appended_global;\n"
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         result = AssessmentPipeline(
             PipelineConfig(cache=cache)).run(sources)
         # one parse miss + one checker-bundle miss; everything else hits
@@ -143,7 +143,7 @@ class TestChunking:
 
 class TestResultCache:
     def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for(PARSE_TAG, "a.cc", "int x;\n")
         assert cache.get(key) is CACHE_MISS
         assert cache.put(key, {"value": [1, 2, 3]})
@@ -151,15 +151,15 @@ class TestResultCache:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_key_depends_on_every_part(self):
-        base = ResultCache.key_for(PARSE_TAG, "a.cc", "int x;\n")
-        assert ResultCache.key_for(PARSE_TAG, "b.cc", "int x;\n") != base
-        assert ResultCache.key_for(PARSE_TAG, "a.cc", "int y;\n") != base
-        assert ResultCache.key_for(CHECK_TAG, "a.cc", "int x;\n") != base
-        assert ResultCache.key_for(PARSE_TAG, "a.cc", "int x;\n",
+        base = ObjectStore.key_for(PARSE_TAG, "a.cc", "int x;\n")
+        assert ObjectStore.key_for(PARSE_TAG, "b.cc", "int x;\n") != base
+        assert ObjectStore.key_for(PARSE_TAG, "a.cc", "int y;\n") != base
+        assert ObjectStore.key_for(CHECK_TAG, "a.cc", "int x;\n") != base
+        assert ObjectStore.key_for(PARSE_TAG, "a.cc", "int x;\n",
                                    "style:2") != base
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         key = cache.key_for(PARSE_TAG, "a.cc", "int x;\n")
         cache.put(key, "fine")
         entry = tmp_path / key[:2] / (key + ".pkl")
@@ -169,7 +169,7 @@ class TestResultCache:
     def test_unwritable_root_degrades_gracefully(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        cache = ResultCache(str(blocker))
+        cache = ObjectStore(str(blocker))
         key = cache.key_for(PARSE_TAG, "a.cc", "int x;\n")
         assert not cache.put(key, "value")
         assert cache.get(key) is CACHE_MISS
@@ -180,7 +180,7 @@ class TestResultCache:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(blocker)))).run(corpus_sources)
+            cache=ObjectStore(str(blocker)))).run(corpus_sources)
         assert_identical(result, serial_result)
 
 
@@ -245,13 +245,13 @@ class TestFingerprintInvalidation:
                                                        corpus_sources):
         from repro.rules import RuleProfile
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         files = len(corpus_sources)
 
         # A profile touching a per-unit checker's rules: parse entries
         # hit, every checker bundle misses (the bundle key joins all
         # per-unit fingerprints).
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             cache=cache,
             rules=RuleProfile(disable=("SG.*",)))).run(corpus_sources)
@@ -259,7 +259,7 @@ class TestFingerprintInvalidation:
         assert cache.misses == files  # every checker bundle
 
         # Re-running with the identical profile hits everything.
-        rerun = ResultCache(str(tmp_path))
+        rerun = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             cache=rerun,
             rules=RuleProfile(disable=("SG.*",)))).run(corpus_sources)
@@ -270,10 +270,10 @@ class TestFingerprintInvalidation:
                                                 corpus_sources):
         from repro.rules import RuleProfile
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         # AR rules belong to the architecture checker, which is
         # project-level: per-unit bundles stay valid.
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             cache=cache,
             rules=RuleProfile(disable=("AR2.*",)))).run(corpus_sources)
@@ -287,10 +287,10 @@ class TestFingerprintInvalidation:
         reference = AssessmentPipeline(
             PipelineConfig(rules=profile)).run(corpus_sources)
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             rules=profile)).run(corpus_sources)
         warm = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)), jobs=3,
+            cache=ObjectStore(str(tmp_path)), jobs=3,
             rules=profile)).run(corpus_sources)
         assert_identical(warm, reference)
         assert warm.reports["style"].finding_count == 0
@@ -301,11 +301,11 @@ class TestParallelTelemetry:
     def test_worker_spans_and_cache_counters(self, tmp_path,
                                              corpus_sources):
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         tracer = Tracer()
         AssessmentPipeline(PipelineConfig(
             tracer=tracer, jobs=4,
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         metrics = tracer.metrics
         files = len(corpus_sources)
         assert metrics.counter_value("cache.hits", stage="parse") == files
@@ -321,12 +321,12 @@ class TestParallelTelemetry:
         from repro.obs import EventLog, render_prometheus
         from repro.testing import corrupt_cache_entries
         AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)))).run(corpus_sources)
+            cache=ObjectStore(str(tmp_path)))).run(corpus_sources)
         assert corrupt_cache_entries(
-            ResultCache(str(tmp_path)), count=1) == 1
+            ObjectStore(str(tmp_path)), count=1) == 1
         tracer = Tracer()
         stream = io.StringIO()
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         AssessmentPipeline(PipelineConfig(
             tracer=tracer, cache=cache,
             log=EventLog(stream))).run(corpus_sources)
@@ -378,20 +378,13 @@ class TestCliParallelFlags:
     def test_jobs_and_cache_flags(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         assert main(["--corpus", "0.02", "--jobs", "2",
-                     "--cache", str(cache_dir)]) == 0
+                     "--store", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "cache: 0 hits" in out
         assert main(["--corpus", "0.02", "--jobs", "2",
-                     "--cache", str(cache_dir)]) == 0
+                     "--store", str(cache_dir)]) == 0
         out = capsys.readouterr().out
         assert "0 misses" in out
-
-    def test_no_cache_overrides_cache(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["--corpus", "0.02", "--cache", str(cache_dir),
-                     "--no-cache"]) == 0
-        assert not cache_dir.exists()
-        assert "cache:" not in capsys.readouterr().out
 
     def test_negative_jobs_clean_error(self, capsys):
         assert main(["--corpus", "0.02", "--jobs", "-3"]) == 2

@@ -1,8 +1,8 @@
 """The shared report model: aggregation agrees with the result."""
 
-from repro.obs import RunLedger
 from repro.report import build_report_model
 from repro.rules import REGISTRY
+from repro.store import RunHistory
 
 from ..obs.test_runlog import make_record
 
@@ -76,7 +76,7 @@ class TestTrends:
         assert report_model.trends is None
 
     def test_window_and_series(self, tmp_path, deviation_model):
-        ledger = RunLedger(str(tmp_path))
+        ledger = RunHistory(str(tmp_path))
         for index in range(2):
             ledger.append(make_record(run_id=f"old-{index}",
                                       config_fp="cfgA",
@@ -100,7 +100,7 @@ class TestTrends:
                                            deviation_model):
         model = build_report_model(
             deviation_model.result, deviation_model.sources,
-            ledger=RunLedger(str(tmp_path / "absent")))
+            ledger=RunHistory(str(tmp_path / "absent")))
         assert model.trends is None
 
 

@@ -4,9 +4,10 @@ hierarchy degrades the run instead of aborting it."""
 import pytest
 
 from repro.checkers.base import Checker, CheckerReport, run_checkers
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.errors import ComplianceError
 from repro.rules import CHECKER_CRASH
+from repro.store import ObjectStore
 from repro.testing import Fault, FaultInjected, FaultPlan, FaultyChecker
 
 from .conftest import assert_others_unchanged
@@ -116,7 +117,7 @@ class TestContainmentBoundaries:
                                                 tmp_path):
         # The cache forces the engine path even at jobs=1.
         result = AssessmentPipeline(PipelineConfig(
-            cache=ResultCache(str(tmp_path)),
+            cache=ObjectStore(str(tmp_path)),
             extra_checkers=(_FinalizeCrash(),))).run(corpus_sources)
         assert result.degraded
         assert result.crashes[0].stage == "finalize"
@@ -139,7 +140,7 @@ class TestContainmentBoundaries:
                                           target_path, tmp_path):
         import os
         import pickle
-        cache = ResultCache(str(tmp_path))
+        cache = ObjectStore(str(tmp_path))
         result = AssessmentPipeline(crashing_config(
             target_path, cache=cache, jobs=2)).run(corpus_sources)
         assert result.degraded

@@ -6,11 +6,12 @@ import os
 
 import pytest
 
-from repro.core import AssessmentPipeline, PipelineConfig, ResultCache
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cli import main
 from repro.core.pipeline import AssessmentPipeline as _Pipeline
 from repro.corpus import apollo_spec, generate_corpus
 from repro.corpus.writer import read_tree
+from repro.store import Store
 from repro.testing import (
     Fault,
     FaultInjected,
@@ -67,10 +68,10 @@ class TestDegradedExitCode:
         reference = reference_result
 
         # Warm the cache (degraded warm run), then damage one entry.
-        assert main([tree, "--cache", cache_dir]) == 3
-        corrupt_cache_entries(ResultCache(cache_dir), 1)
+        assert main([tree, "--store", cache_dir]) == 3
+        corrupt_cache_entries(Store(cache_dir).object_store(), 1)
 
-        code = main([tree, "--jobs", "2", "--cache", cache_dir,
+        code = main([tree, "--jobs", "2", "--store", cache_dir,
                      "--json", json_path, "--markdown", markdown_path])
         assert code == 3
         out = capsys.readouterr().out

@@ -7,10 +7,11 @@ import pickle
 
 import pytest
 
-from repro.core import MemoryCache, ResultCache
+from repro.core import MemoryCache
+from repro.core.cache import PARSE_TAG
 from repro.rules import REGISTRY, RuleProfile
 from repro.serve import AssessmentServer, encode_reply, run_stdio
-from repro.store import Store
+from repro.store import ObjectStore, Store
 from repro.testing import Fault, FaultPlan, FaultyChecker
 
 from .conftest import CLEAN, GOTO, write
@@ -114,11 +115,10 @@ class TestContainment:
 
     def test_corrupt_cache_entry_degrades_nothing_fatal(self, tree,
                                                         tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        server = AssessmentServer(tree, cache=cache)
+        server = AssessmentServer(tree, store=Store(str(tmp_path / "cache")))
         first = assess(server)
         # rot every on-disk entry, then force re-reads
-        for _, path in cache.entries():
+        for _, path in server.cache.entries():
             with open(path, "wb") as handle:
                 handle.write(b"not a pickle")
         second = assess(server)
@@ -250,12 +250,23 @@ class TestStoreBackedServing:
         assert records[1].cache["misses"] == 0
         assert records[1].cache["hits"] == records[0].cache["puts"]
 
-    def test_ledger_dir_serving(self, tree, tmp_path):
-        from repro.obs import RunLedger
-        ledger_dir = str(tmp_path / "ledger")
-        server = AssessmentServer(tree, ledger_dir=ledger_dir)
+    def test_record_pins_only_this_requests_objects(self, tree,
+                                                    tmp_path):
+        """A superseded file version's entries are pinned by the runs
+        that used them, never by later ones, so GC can sweep them."""
+        store = Store(str(tmp_path / "store"))
+        server = AssessmentServer(tree, store=store)
         assess(server)
-        assert len(list(RunLedger(ledger_dir).records())) == 1
+        old_parse = ObjectStore.key_for(PARSE_TAG, "clean.cpp", CLEAN)
+        write(tree, "clean.cpp", GOTO + CLEAN)
+        assess(server)
+        write(tree, "clean.cpp", CLEAN + GOTO)
+        assess(server)
+        records = store.history().records()
+        assert old_parse in records[0].objects
+        assert old_parse not in records[-1].objects
+        assert [len(record.objects) for record in records] == \
+            [len(records[0].objects)] * 3
 
 
 class TestStdioLoop:

@@ -2,7 +2,8 @@
 
 import os
 
-from repro.serve import AssessmentServer, finding_diff, watch_events
+from repro.core.diff import finding_diff
+from repro.serve import AssessmentServer, watch_events
 
 from .conftest import CLEAN, GOTO, write
 

@@ -7,9 +7,12 @@ one single-process run — and ``repro-trends`` works over the merged
 history.
 """
 
+from repro.core import AssessmentPipeline, PipelineConfig
 from repro.core.cli import main as assess
+from repro.corpus import apollo_spec, generate_corpus
+from repro.obs import build_run_record
 from repro.obs.trends import main as trends
-from repro.store import RunHistory, Store
+from repro.store import ObjectStore, RunHistory, Store
 from repro.store.cli import main as store_admin
 
 SCALE = "0.02"
@@ -117,17 +120,11 @@ class TestManifestObjects:
     def test_store_run_pins_objects_plain_cache_does_not(self, tmp_path,
                                                          capsys):
         store = str(tmp_path / "store")
-        cache = str(tmp_path / "cache")
-        ledger = str(tmp_path / "ledger")
         code, _ = run_quiet(capsys, ["--corpus", SCALE, "--store", store])
         assert code == 0
         record = RunHistory(store).records()[-1]
         assert record.objects  # every key the run read or wrote
         assert all(len(key) == 64 for key in record.objects)
-        code, _ = run_quiet(capsys, [
-            "--corpus", SCALE, "--cache", cache, "--ledger", ledger])
-        assert code == 0
-        assert RunHistory(ledger).records()[-1].objects == []
 
 
 class TestMergeFrom:
@@ -145,6 +142,40 @@ class TestMergeFrom:
         assert len(RunHistory(warm).records()) == 1
 
 
+class TestLegacyMigration:
+    def test_flat_cache_and_ledger_fold_into_a_store(self, tmp_path,
+                                                     capsys):
+        """A flat object area plus a bare runs.jsonl directory migrate
+        with one ``repro-store merge``; the store then replays them."""
+        old_cache = str(tmp_path / "old-cache")
+        old_ledger = str(tmp_path / "old-ledger")
+        store = str(tmp_path / "store")
+        sources = generate_corpus(
+            apollo_spec(scale=float(SCALE))).sources()
+        cache = ObjectStore(old_cache)
+        config = PipelineConfig(cache=cache)
+        result = AssessmentPipeline(config).run(sources)
+        RunHistory(old_ledger).append(build_run_record(
+            result, run_id="legacy-run", duration=1.0, exit_code=0,
+            config=config, cache=cache, files=len(sources)))
+
+        assert store_admin(["merge", store, "--from", old_cache,
+                            "--from-ledger", old_ledger]) == 0
+        capsys.readouterr()
+        code, plain_out = run_quiet(capsys, ["--corpus", SCALE])
+        assert code == 0
+        code, store_out = run_quiet(capsys, [
+            "--corpus", SCALE, "--store", store])
+        assert code == 0
+        assert ", 0 misses" in store_out
+        assert store_out[:store_out.index("\ncache: ")] == plain_out
+        run_id = RunHistory(store).records()[-1].run_id
+
+        assert trends(["--store", store]) == 0
+        out = capsys.readouterr().out
+        assert "legacy-run" in out and run_id in out
+
+
 class TestStoreFlagValidation:
     def test_shard_requires_store(self, capsys):
         assert assess(["--corpus", SCALE, "--shard", "1/2"]) == 2
@@ -154,12 +185,6 @@ class TestStoreFlagValidation:
         assert assess(["--corpus", SCALE,
                        "--merge-from", str(tmp_path)]) == 2
         assert "--merge-from requires --store" in capsys.readouterr().err
-
-    def test_store_and_cache_conflict(self, tmp_path, capsys):
-        assert assess(["--corpus", SCALE,
-                       "--store", str(tmp_path / "s"),
-                       "--cache", str(tmp_path / "c")]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_bad_shard_spec_exits_2(self, tmp_path, capsys):
         for spec in ("3/2", "0/2", "x/2", "2", "2/0", "1/2/3"):

@@ -38,7 +38,6 @@ class TestShardRedirection:
         area = store.object_store()
         assert area.root == store.objects_root
         assert area.worker_shard_base == store.root
-        assert area.record_references is True
         sharded = store.object_store(shard="")
         assert sharded.write_root.startswith(
             os.path.join(store.root, "shard-"))
