@@ -38,7 +38,6 @@ from ..rules import (
     RuleProfile,
     Severity,
     UNKNOWN_RULE,
-    scan_deviations,
 )
 
 __all__ = [
@@ -242,15 +241,6 @@ def crash_report(checker: str, crash: CheckerCrash) -> CheckerReport:
     return report
 
 
-def _unit_deviations(unit: TranslationUnit) -> DeviationIndex:
-    """The unit's deviation index, scanned once and memoized on it."""
-    index = getattr(unit, "_deviations", None)
-    if index is None:
-        index = scan_deviations(unit.tokens, unit.filename)
-        unit._deviations = index
-    return index
-
-
 class Checker(abc.ABC):
     """Base class for all static checkers.
 
@@ -308,6 +298,11 @@ class Checker(abc.ABC):
         checker with extra project-level work (e.g. unit design's
         call-graph recursion pass) overrides this so the pipeline can
         still distribute and cache its per-unit portion.
+
+        In the pipeline, ``units`` are token-free :class:`~repro.lang.
+        cppmodel.UnitSummary` objects, as are the units a project-level
+        :meth:`check_project` override receives: the tokens are gone
+        once the per-file pass has swept them.
         """
         report = CheckerReport(checker=self.name)
         for unit_report in unit_reports:
@@ -333,7 +328,7 @@ class Checker(abc.ABC):
         """
         deviations: Optional[DeviationIndex] = None
         for unit in units:
-            index = _unit_deviations(unit)
+            index = unit.deviations
             if index:
                 if deviations is None:
                     deviations = DeviationIndex()
@@ -394,8 +389,9 @@ class Checker(abc.ABC):
         return (f"{type(self).__module__}.{type(self).__qualname__}"
                 f":{self.version}{suffix}")
 
-    def for_units(self, units: Iterable[TranslationUnit]) -> "Checker":
-        """A checker equivalent to ``self`` for checking exactly ``units``.
+    def for_paths(self, paths: Iterable[str]) -> "Checker":
+        """A checker equivalent to ``self`` for checking exactly the
+        units of ``paths``.
 
         Stateless checkers (the default) return ``self``.  Checkers
         holding per-file state (:class:`~repro.checkers.style.

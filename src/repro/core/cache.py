@@ -1,12 +1,14 @@
 """Content-addressed result caching for incremental re-assessment.
 
 The paper's sweep is rerun continuously in CI, where most files are
-unchanged between runs.  The cache short-circuits the two expensive
-per-file stages — fuzzy parsing and per-unit checking — by keying their
-results on a SHA-256 over the source text, the file path, and a stage
+unchanged between runs.  The cache short-circuits the per-file pass —
+fuzzy parsing and per-unit checking — by keying its two results (a
+token-free :class:`~repro.lang.cppmodel.UnitSummary` and a checker
+bundle) on a SHA-256 over the source text, the file path, and a stage
 version tag, so a changed file, a changed checker implementation, or a
 changed checker configuration each invalidate exactly the entries they
-affect and nothing else.
+affect and nothing else.  A file replays only when both entries hit;
+otherwise the whole pass re-runs and rewrites the entries that missed.
 
 Persistence is one surface: ``--store DIR``, whose object area
 (:meth:`repro.store.store.Store.object_store`, an
@@ -34,7 +36,9 @@ __all__ = ["CACHE_MISS", "CHECK_TAG", "MemoryCache", "PARSE_TAG",
 #: parse:3 — lexer rewrite: hex floats lex correctly, number
 #: maximal-munch edges changed, preprocessor summary built from the
 #: token stream.
-PARSE_TAG = "parse:3"
+#: parse:4 — ParseOutcome.unit is a token-free UnitSummary (line
+#: counts and deviation index precomputed), not a TranslationUnit.
+PARSE_TAG = "parse:4"
 
 #: Stage tag for per-unit checker bundles; the bundle key additionally
 #: folds in every checker's :meth:`~repro.checkers.base.Checker.

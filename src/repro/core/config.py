@@ -39,15 +39,18 @@ class PipelineConfig:
             zero-cost :data:`~repro.obs.NULL_LOG`.  Worker chunks
             buffer their events and the pipeline grafts them back,
             exactly as worker traces are grafted.
-        jobs: worker count for the parse and per-unit checker fan-out;
-            1 (the default) is the fully serial path, 0 means one
-            worker per CPU.  Results are identical at any setting.
+        jobs: worker count for the per-file pass (lex, model and
+            fused checker sweep, one pool round); 1 (the default) is
+            the fully serial path, 0 means one worker per CPU.
+            Results are identical at any setting.
         executor: pool flavor for ``jobs > 1`` — ``"thread"`` (no
             pickling, GIL-bound) or ``"process"`` (true CPU
-            parallelism; payloads cross process boundaries).
+            parallelism: sources go out, token-free unit summaries and
+            per-unit checker bundles come back).
         cache: optional content-addressed :class:`~repro.store.objects.
-            ObjectStore`; unchanged files short-circuit to cached parse
-            results and per-unit checker reports.  A store-backed cache
+            ObjectStore`; a file whose unit summary and per-unit
+            checker bundle are both stored is replayed, any other file
+            re-runs the whole per-file pass.  A store-backed cache
             (:meth:`repro.store.store.Store.object_store`) additionally
             redirects writes into a per-process shard directory for
             later ``repro-store merge``.

@@ -1,44 +1,49 @@
 """Parallel execution engine for the assessment pipeline.
 
-The pipeline's two hot stages — per-file parsing and per-unit checking
-— are embarrassingly parallel, so this module fans them out over a
-``concurrent.futures`` pool.  The contract, relied on by the
-determinism tests, is that a parallel run is *result-identical* to the
-serial run:
+The pipeline's per-file work — lex, fuzzy model, fused checker sweep —
+is one pass per file (:func:`sweep_files`), and it is embarrassingly
+parallel, so this module fans it out over a ``concurrent.futures``
+pool in a single round: each worker chunk (:class:`FileTask`, run by
+:func:`run_parse_task`) parses and checks its own files and ships back
+only token-free :class:`~repro.lang.cppmodel.UnitSummary` objects and
+per-unit checker bundles.  Serial runs take the same pass in-process.
+The contract, relied on by the determinism tests, is that a parallel
+run is *result-identical* to the serial run:
 
-* work is chunked from the already-sorted unit list and results are
+* work is chunked from the sorted path list and results are
   reassembled in that order, so checker reports merge in exactly the
   serial order;
 * only checkers whose project report can be replayed from per-unit
   reports — the default per-unit
   :meth:`~repro.checkers.base.Checker.check_project`, or an explicit
   :meth:`~repro.checkers.base.Checker.finish_from_units` override (unit
-  design) — are fanned out; genuinely project-level checkers
-  (architecture) see all units at once, exactly as in a serial run.
+  design) — run in the pass; genuinely project-level checkers
+  (architecture) see all unit summaries at once in the parent, exactly
+  as in a serial run.  No token stream reaches the parent.
 
-Per-unit chunks run through the fused single-sweep engine
-(:func:`repro.engine.driver.fused_unit_bundle`): one token walk per
-unit dispatches to every registered checker, byte-identical to running
-each checker's ``check_unit`` in sequence.
+Each unit is swept once by the fused engine
+(:func:`repro.engine.driver.fused_unit_bundle`): one token walk
+dispatches to every registered checker, byte-identical to running each
+checker's ``check_unit`` in sequence.
 
 Each worker chunk runs under its own :class:`~repro.obs.Tracer` (the
 shared tracer's span stack is not thread-safe); the resulting span
 forest and metrics are grafted back into the parent trace by
-:func:`graft_worker_trace`, so ``--trace`` shows one ``parse_worker`` /
-``checker_worker`` span per chunk with real per-file child spans.
-Structured log events follow the same fan-in: worker chunks record
-into a picklable :class:`~repro.obs.BufferLog` shipped back with the
-results, and the parent replays it via
+:func:`graft_worker_trace`, so ``--trace`` shows one ``parse_worker``
+span per chunk with a ``parse_file`` and a ``sweep_unit`` child per
+file.  Structured log events follow the same fan-in: worker chunks
+record into a picklable :class:`~repro.obs.BufferLog` shipped back with
+the results, and the parent replays it via
 :meth:`~repro.obs.EventLog.graft` with the worker index stamped on
 every event.
 
 Worker task functions are module-level so the ``process`` executor can
-pickle them; every payload (tasks, :class:`TranslationUnit` results,
-checker reports, worker tracers) is plain-dataclass picklable.
+pickle them; every payload (tasks, parse outcomes, checker reports,
+worker tracers) is plain-dataclass picklable.
 
 The engine is additionally *fault-isolated* (see :func:`run_tasks` and
-:func:`check_unit_bundle`): a dead or hung worker costs one serial
-re-run of its chunk, and a crashing checker costs one
+:func:`~repro.engine.driver.fused_unit_bundle`): a dead or hung worker
+costs one serial re-run of its chunk, and a crashing checker costs one
 ``internal.checker_crash`` finding on the unit it crashed on — never
 the run.
 """
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..checkers.base import (
@@ -59,14 +64,18 @@ from ..checkers.base import (
 )
 from ..engine.driver import fused_unit_bundle
 from ..errors import ConfigError, ReproError, SourceError
-from ..lang.cppmodel import TranslationUnit, parse_translation_unit
+from ..lang.cppmodel import (
+    TranslationUnit,
+    UnitSummary,
+    parse_translation_unit,
+)
 from ..obs import NULL_LOG, NULL_TRACER, BufferLog, EventLog, Span, Tracer
 from ..store.objects import ObjectStore
 
 #: Recognized ``PipelineConfig.executor`` values.  ``thread`` has no
-#: per-task pickling cost; ``process`` sidesteps the GIL for CPU-bound
-#: parsing at the price of shipping sources and results across
-#: processes.
+#: per-task pickling cost; ``process`` sidesteps the GIL for the
+#: CPU-bound per-file pass at the price of shipping sources out and
+#: unit summaries and checker bundles back.
 EXECUTOR_KINDS = ("thread", "process")
 
 
@@ -196,16 +205,22 @@ def run_tasks(function: Callable, tasks: Sequence, *, jobs: int,
 
 
 # ----------------------------------------------------------------------
-# parse fan-out
+# the per-file pass: lex -> model -> fused sweep -> summary
+
+#: One file's per-unit checker reports, keyed by checker name.
+Bundle = Dict[str, CheckerReport]
 
 
 @dataclass
 class ParseOutcome:
-    """What parsing one file produced: a unit, a parse error, or a
-    contained parser-internal crash."""
+    """What the per-file pass made of one file: a token-free unit
+    summary, a parse error, or a contained parser-internal crash.
+
+    This is the object stored under :data:`~repro.core.cache.PARSE_TAG`.
+    """
 
     path: str
-    unit: Optional[TranslationUnit] = None
+    unit: Optional[UnitSummary] = None
     error: Optional[SourceError] = None
     #: A non-``SourceError`` raised inside the parser, contained (unless
     #: the run is strict); the file counts as unparseable and the run
@@ -214,150 +229,147 @@ class ParseOutcome:
 
 
 @dataclass
-class ParseTask:
-    """One worker's share of the parse stage."""
+class FileTask:
+    """One share of the per-file pass: lex, model and fused checker
+    sweep for a batch of files.
+
+    ``checkers`` are the per-unit checkers, pruned with
+    :meth:`~repro.checkers.base.Checker.for_paths` so a process task
+    ships only the per-file state its own files need.
+    """
 
     items: List[Tuple[str, str]]
-    worker: int
+    checkers: List[Checker]
+    worker: int = 0
     traced: bool = False
-    #: Re-raise parser-internal errors instead of containing them.
+    #: Re-raise parser-internal errors and checker crashes instead of
+    #: containing them.
     strict: bool = False
     #: Record structured events into a shipped-back worker buffer.
     logged: bool = False
-    #: Store-backed fan-out: with both set, the worker persists each
-    #: non-crashed outcome itself, into a private object area the
-    #: parent absorbs on join (no second pickling in the parent, and a
-    #: killed run leaves mergeable shards behind).  ``cache_keys``
-    #: aligns with ``items``.
-    cache_keys: Optional[List[str]] = None
+    #: Store keys, aligned with ``items``: ``(parse key, check key)``
+    #: for the stages that missed the store, ``None`` for a stage that
+    #: hit (its entry is not rewritten).  ``None`` without a store.
+    keys: Optional[List[Tuple[Optional[str], Optional[str]]]] = None
+    #: Store-backed fan-out: the worker persists each result itself,
+    #: into this private object area the parent absorbs on join (no
+    #: second pickling in the parent, and a killed run leaves mergeable
+    #: shards behind).
     shard_dir: Optional[str] = None
 
 
 def parse_one(path: str, source: str, strict: bool = False
-              ) -> ParseOutcome:
-    """Parse one file into an outcome, containing both failure modes.
+              ) -> Tuple[ParseOutcome, Optional[TranslationUnit]]:
+    """Parse one file, containing both failure modes.
 
-    An expected :class:`SourceError` (malformed input) lands in
-    ``error``; any other exception is a parser bug, contained as a
-    ``crash`` record unless ``strict``.
+    Returns the outcome (its ``unit`` still unset) and the full unit,
+    or ``None`` when the file did not parse.  An expected
+    :class:`SourceError` (malformed input) lands in ``error``; any
+    other exception is a parser bug, contained as a ``crash`` record
+    unless ``strict``.
     """
     try:
         unit = parse_translation_unit(source, path)
     except SourceError as error:
-        return ParseOutcome(path, error=error)
+        return ParseOutcome(path, error=error), None
     except Exception as error:
         if strict:
             raise
         return ParseOutcome(path, crash=make_crash(
-            "parse", "parse", error, path=path))
-    return ParseOutcome(path, unit=unit)
+            "parse", "parse", error, path=path)), None
+    return ParseOutcome(path), unit
 
 
-def run_parse_task(task: ParseTask
-                   ) -> Tuple[List[ParseOutcome], Optional[Tracer],
-                              Optional[List[Dict]]]:
-    """Parse one chunk of ``(path, source)`` pairs, catching per-file
-    :class:`SourceError` (and, unless strict, parser-internal crashes)
-    so a poisoned file never kills the pool.
+def persist(area: ObjectStore,
+            keys: Tuple[Optional[str], Optional[str]],
+            outcome: ParseOutcome, bundle: Optional[Bundle]) -> None:
+    """Store one file's results under the keys that missed.
 
-    Returns ``(outcomes, worker tracer or None, worker events or
+    Contained parser crashes and crashed bundles are never stored: the
+    fault may be transient, and strict runs must reproduce it, not
+    replay it.
+    """
+    parse_key, check_key = keys
+    if parse_key is not None and outcome.crash is None:
+        area.put(parse_key, outcome)
+    if (check_key is not None and bundle is not None
+            and not bundle_has_crash(bundle)):
+        area.put(check_key, bundle)
+
+
+def sweep_files(task: FileTask, tracer: Tracer, log: EventLog,
+                area: Optional[ObjectStore]
+                ) -> List[Tuple[ParseOutcome, Optional[Bundle]]]:
+    """The per-file pass over ``task.items``, in order.
+
+    Each file is lexed and modelled (one ``parse_file`` span), swept
+    once by the fused engine (one ``sweep_unit`` span), and reduced to
+    its :class:`~repro.lang.cppmodel.UnitSummary` before the next file
+    starts, so no token stream outlives its file.  With an ``area``
+    (and ``task.keys``), each result is persisted as it is made.
+
+    Returns ``[(outcome, bundle)]``; ``bundle`` is ``None`` for a file
+    that did not parse.
+    """
+    timings = tracer.metrics.histogram("pipeline.parse_seconds")
+    results: List[Tuple[ParseOutcome, Optional[Bundle]]] = []
+    for index, (path, source) in enumerate(task.items):
+        with tracer.span("parse_file", path=path) as span:
+            outcome, unit = parse_one(path, source, strict=task.strict)
+            if unit is None:
+                span.set("failed", 1)
+        if tracer.enabled:
+            timings.observe(span.duration)
+        bundle = None
+        if unit is not None:
+            with tracer.span("sweep_unit", path=path):
+                bundle = fused_unit_bundle(task.checkers, unit,
+                                           strict=task.strict, log=log)
+            outcome.unit = unit.summary(source)
+        if area is not None and task.keys is not None:
+            persist(area, task.keys[index], outcome, bundle)
+        results.append((outcome, bundle))
+    return results
+
+
+def run_parse_task(task: FileTask
+                   ) -> Tuple[List[Tuple[ParseOutcome, Optional[Bundle]]],
+                              Optional[Tracer], Optional[List[Dict]]]:
+    """Run the per-file pass over one worker's chunk.
+
+    Per-file :class:`SourceError` (and, unless strict, parser and
+    checker crashes) is caught, so a poisoned file never kills the
+    pool.  Returns ``(results, worker tracer or None, worker events or
     None)``; the parent grafts the latter two back into its own trace
     and event log.
     """
     tracer = Tracer() if task.traced else NULL_TRACER
     log = BufferLog(worker=task.worker) if task.logged else NULL_LOG
-    timings = tracer.metrics.histogram("pipeline.parse_seconds")
     area = (ObjectStore(task.shard_dir)
-            if task.shard_dir is not None and task.cache_keys is not None
-            else None)
-    outcomes: List[ParseOutcome] = []
-    with tracer.span("parse_worker", worker=task.worker) as worker_span:
-        failures = 0
-        for index, (path, source) in enumerate(task.items):
-            with tracer.span("parse_file", path=path) as span:
-                outcome = parse_one(path, source, strict=task.strict)
-                if outcome.unit is None:
-                    span.set("failed", 1)
-                    failures += 1
-                outcomes.append(outcome)
-                # Contained parser crashes are never cached: the fault
-                # may be transient, and strict runs must reproduce it.
-                if area is not None and outcome.crash is None:
-                    area.put(task.cache_keys[index], outcome)
-            if tracer.enabled:
-                timings.observe(span.duration)
-        worker_span.set("files", len(task.items))
-        worker_span.set("failures", failures)
-        log.debug("worker.parse", files=len(task.items),
-                  failures=failures)
-    return (outcomes, tracer if task.traced else None,
-            log.events if task.logged else None)
-
-
-# ----------------------------------------------------------------------
-# per-unit checker fan-out
-
-
-@dataclass
-class CheckTask:
-    """One worker's share of the per-unit checker stage.
-
-    ``checkers`` are already pruned with
-    :meth:`~repro.checkers.base.Checker.for_units`, so a process task
-    ships only the per-file state its own units need.
-    """
-
-    checkers: List[Checker]
-    units: List[TranslationUnit]
-    worker: int
-    traced: bool = False
-    #: Re-raise checker crashes instead of containing them per unit.
-    strict: bool = False
-    #: Record structured events into a shipped-back worker buffer.
-    logged: bool = False
-    #: Store-backed fan-out, exactly as on :class:`ParseTask`;
-    #: ``cache_keys`` aligns with ``units``.
-    cache_keys: Optional[List[str]] = None
-    shard_dir: Optional[str] = None
-
-
-def run_check_task(task: CheckTask
-                   ) -> Tuple[Dict[str, Dict[str, CheckerReport]],
-                              Optional[Tracer], Optional[List[Dict]]]:
-    """Run every per-unit checker over one chunk of units.
-
-    Returns ``({path: {checker name: per-unit report}}, worker tracer
-    or None, worker events or None)`` — the raw reports the parent
-    merges in sorted-unit order and finalizes once, mirroring the
-    default ``check_project`` exactly.  Each unit is swept once by the
-    fused engine rather than once per checker.
-    """
-    tracer = Tracer() if task.traced else NULL_TRACER
-    log = BufferLog(worker=task.worker) if task.logged else NULL_LOG
-    area = (ObjectStore(task.shard_dir)
-            if task.shard_dir is not None and task.cache_keys is not None
-            else None)
-    bundles: Dict[str, Dict[str, CheckerReport]] = {}
-    with tracer.span("checker_worker", worker=task.worker) as span:
-        for index, unit in enumerate(task.units):
-            bundle = fused_unit_bundle(
-                task.checkers, unit, strict=task.strict, log=log)
-            bundles[unit.filename] = bundle
-            # Crashed bundles are never cached (see bundle_has_crash).
-            if area is not None and not bundle_has_crash(bundle):
-                area.put(task.cache_keys[index], bundle)
-        span.set("units", len(task.units))
+            if task.shard_dir is not None else None)
+    with tracer.span("parse_worker", worker=task.worker) as span:
+        results = sweep_files(task, tracer, log, area)
+        failures = sum(1 for _, bundle in results if bundle is None)
+        span.set("files", len(task.items))
+        span.set("failures", failures)
         span.set("checkers", len(task.checkers))
-        log.debug("worker.check", units=len(task.units),
-                  checkers=len(task.checkers))
-    return (bundles, tracer if task.traced else None,
+        log.debug("worker.parse", files=len(task.items),
+                  failures=failures, checkers=len(task.checkers))
+    return (results, tracer if task.traced else None,
             log.events if task.logged else None)
+
+
+#: The per-file pass checks as it parses, so the check stage has no
+#: task of its own; the name stays for callers that look it up.
+run_check_task = run_parse_task
 
 
 def check_unit_bundle(checkers: Sequence[Checker], unit: TranslationUnit,
                       strict: bool = False,
                       log: EventLog = NULL_LOG) -> Dict[str, CheckerReport]:
-    """The serial (and cache-fill) equivalent of one unit's fan-out.
+    """One unit's bundle the legacy way: each checker's ``check_unit``
+    in turn — the reference :func:`~repro.engine.driver.
+    fused_unit_bundle` is pinned byte-identical against.
 
     Containment is per checker *and* per unit: a checker that raises a
     non-:class:`~repro.errors.ReproError` on this unit contributes a

@@ -2,22 +2,27 @@
 
 This orchestrates the paper's whole methodology:
 
-1. parse every translation unit into the fuzzy C++ model;
+1. parse every translation unit into the fuzzy C++ model and run the
+   per-unit checkers over it — one pass per file;
 2. compute per-module size/complexity metrics (Figure 3);
-3. run all static checkers;
+3. finish every checker's project report;
 4. assemble the evidence set;
 5. apply the compliance engine to the three ISO 26262-6 tables;
 6. derive the numbered observations.
 
-The two per-file stages (1 and 3) run through the execution engine in
-:mod:`repro.core.parallel`: with :attr:`PipelineConfig.jobs` > 1 they
-fan out over a thread or process pool, and with a
-:attr:`PipelineConfig.cache` configured, unchanged files short-circuit
-to content-addressed cached results (:mod:`repro.core.cache`).  Either
-way the produced :class:`AssessmentResult` is identical to a serial,
-cold-cache run: chunks are cut from the sorted path list and merged
-back in that order, and only checkers whose project report is a pure
-per-unit merge are distributed.
+Stage 1 runs through the execution engine in :mod:`repro.core.parallel`:
+each file is lexed, modelled and swept once by the fused checker
+engine, and only its token-free :class:`~repro.lang.cppmodel.
+UnitSummary` and per-unit checker bundle survive.  With
+:attr:`PipelineConfig.jobs` > 1 the pass fans out over a thread or
+process pool in one round; with a :attr:`PipelineConfig.cache`
+configured, a file whose summary (stored under ``parse:4``) and bundle
+both hit is replayed, and any other file re-runs the whole pass.
+Stages 2 and 3 see unit summaries only, never tokens.  Either way the
+produced :class:`AssessmentResult` is identical to a serial, cold-cache
+run: chunks are cut from the sorted path list and merged back in that
+order, and only checkers whose project report is a pure per-unit merge
+are distributed.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import gc
 import os
 import shutil
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..checkers.architecture import ArchitectureChecker
 from ..checkers.base import (
@@ -44,12 +49,18 @@ from ..checkers.misra import MisraChecker
 from ..checkers.naming import NamingChecker
 from ..checkers.style import StyleChecker
 from ..checkers.unitdesign import UnitDesignChecker
-from ..errors import ConfigError, ReproError, SourceError
+from ..errors import ConfigError, ReproError
 from ..iso26262.compliance import ComplianceEngine
 from ..iso26262.evidence import EvidenceSet
 from ..iso26262.observations import generate_observations
-from ..engine.driver import fused_unit_bundle
-from ..lang.cppmodel import TranslationUnit, parse_translation_unit
+# ``fused_unit_bundle``, ``parse_translation_unit`` and
+# ``run_check_task`` are not called here: the per-file pass calls them
+# through repro.core.parallel.  They stay importable from this module
+# because the benchmark's layer timers (perfbench/layers.py) patch the
+# per-file entry points by name in both modules.
+from ..engine.driver import fused_unit_bundle  # noqa: F401
+from ..lang.cppmodel import UnitSummary
+from ..lang.cppmodel import parse_translation_unit  # noqa: F401
 from ..metrics.report import ModuleMetrics, measure_module
 from ..obs import NULL_LOG, NULL_TRACER, EventLog, Span, Tracer
 from ..store.layout import OBJECTS_DIRNAME, default_shard_name
@@ -58,16 +69,17 @@ from .cache import CACHE_MISS, CHECK_TAG, PARSE_TAG
 from .config import PipelineConfig
 from .parallel import (
     EXECUTOR_KINDS,
-    CheckTask,
+    Bundle,
+    FileTask,
     ParseOutcome,
-    ParseTask,
-    bundle_has_crash,
     chunk_evenly,
     graft_worker_trace,
-    run_check_task,
+    persist,
+    run_check_task,  # noqa: F401
     run_parse_task,
     run_tasks,
     split_checkers,
+    sweep_files,
     worker_count,
 )
 
@@ -113,12 +125,12 @@ class AssessmentPipeline:
     """Runs the full assessment over a path -> source mapping.
 
     When :attr:`PipelineConfig.tracer` is set, every stage is traced:
-    a ``pipeline`` root span with ``parse`` (one ``parse_file`` child
-    per translation unit, grouped under ``parse_worker`` spans when
-    ``jobs > 1``), ``metrics`` (one ``measure_module`` child per
-    module), ``checkers`` (one ``checker`` child per checker, with its
-    finding count, plus ``checker_worker`` chunk spans when fanned
-    out), ``evidence``, ``compliance``, and ``observations`` children —
+    a ``pipeline`` root span with ``parse`` (one ``parse_file`` and one
+    ``sweep_unit`` child per translation unit, grouped under
+    ``parse_worker`` spans when ``jobs > 1``), ``metrics`` (one
+    ``measure_module`` child per module), ``checkers`` (one ``checker``
+    child per checker, with its finding count), ``evidence``,
+    ``compliance``, and ``observations`` children —
     plus counters for units parsed, parse failures, findings per
     checker, and cache hits/misses per stage.  The default is the
     no-op NULL_TRACER.
@@ -188,9 +200,13 @@ class AssessmentPipeline:
     def _run(self, sources: Mapping[str, str],
              crashes: List[CheckerCrash], tracer, log) -> AssessmentResult:
         with tracer.span("pipeline") as root:
-            units, unparseable = self._parse_all(sources, crashes)
+            checkers = self._checkers(sources)
+            per_unit, _ = split_checkers(checkers)
+            units, bundles, unparseable = self._sweep_all(
+                sources, per_unit, crashes)
             modules = self._measure_modules(sources, units)
-            reports = self._run_checkers(sources, units)
+            reports = self._finish_checkers(checkers, per_unit, units,
+                                            bundles)
             for name in reports:
                 crashes.extend(reports[name].crashes)
             if crashes:
@@ -229,48 +245,39 @@ class AssessmentPipeline:
         )
 
     # ------------------------------------------------------------------
-    # stage 1: parse
+    # stage 1: the per-file pass (parse + per-unit checks)
 
-    def _parse_all(self, sources: Mapping[str, str],
-                   crashes: List[CheckerCrash]):
+    def _sweep_all(self, sources: Mapping[str, str],
+                   per_unit: List[Checker],
+                   crashes: List[CheckerCrash]
+                   ) -> Tuple[List[UnitSummary], Dict[str, Bundle],
+                              List[str]]:
+        """Every file's unit summary and per-unit checker bundle.
+
+        A file whose parse *and* check entries both hit the store is
+        replayed; any other file re-runs the whole per-file pass,
+        serially or fanned out, and only its missed entries are
+        written.  Returns ``(summaries of parsed files, {path: bundle},
+        unparseable paths)``, all in sorted-path order.
+        """
         tracer = self.tracer
         cache = self.config.cache
         metrics = tracer.metrics
         parsed = metrics.counter("pipeline.units_parsed")
         failed = metrics.counter("pipeline.parse_failures")
-        units: List[TranslationUnit] = []
+        units: List[UnitSummary] = []
         unparseable: List[str] = []
         with tracer.span("parse") as parse_span:
             paths = sorted(sources)
-            outcomes: Dict[str, ParseOutcome] = {}
-            pending: List[str] = []
-            if cache is None:
-                pending = paths
-            else:
-                hits = metrics.counter("cache.hits", stage="parse")
-                misses = metrics.counter("cache.misses", stage="parse")
-                for path in paths:
-                    key = cache.key_for(PARSE_TAG, path, sources[path])
-                    value = cache.get(key)
-                    if value is CACHE_MISS:
-                        misses.inc()
-                        pending.append(path)
-                    else:
-                        hits.inc()
-                        outcomes[path] = value
-            fresh, persisted = self._parse_pending(pending, sources,
-                                                   parse_span)
-            for outcome in fresh:
+            outcomes, bundles, keys = (
+                self._replay(paths, sources, per_unit)
+                if cache is not None else ({}, {}, {}))
+            pending = [path for path in paths if path not in outcomes]
+            for outcome, bundle in self._sweep_pending(
+                    pending, sources, per_unit, keys, parse_span):
                 outcomes[outcome.path] = outcome
-                # Contained parser crashes are never cached: the fault
-                # may be transient, and strict runs must reproduce it.
-                # Outcomes a worker already persisted into its shard
-                # (and the parent absorbed) are not written twice.
-                if (cache is not None and outcome.crash is None
-                        and outcome.path not in persisted):
-                    cache.put(cache.key_for(PARSE_TAG, outcome.path,
-                                            sources[outcome.path]),
-                              outcome)
+                if bundle is not None:
+                    bundles[outcome.path] = bundle
             for path in paths:
                 outcome = outcomes[path]
                 if outcome.crash is not None:
@@ -294,106 +301,132 @@ class AssessmentPipeline:
                     units.append(outcome.unit)
             parse_span.set("files", len(sources))
             parse_span.set("failures", len(unparseable))
-        return units, unparseable
+        return units, bundles, unparseable
 
-    def _parse_pending(self, paths: List[str],
-                       sources: Mapping[str, str],
-                       parse_span: Span
-                       ) -> Tuple[List[ParseOutcome], Set[str]]:
-        """Parse the cache-missed files, fanned out when ``jobs > 1``.
+    def _replay(self, paths: List[str], sources: Mapping[str, str],
+                per_unit: List[Checker]
+                ) -> Tuple[Dict[str, ParseOutcome], Dict[str, Bundle],
+                           Dict[str, Tuple[Optional[str], Optional[str]]]]:
+        """What the store holds for ``paths``.
 
-        Returns ``(outcomes, persisted paths)`` — the second element
-        names the files whose outcomes store-backed workers already
-        wrote (and the parent absorbed), so the caller skips its own
-        put for them.
+        Returns ``(outcomes, bundles, keys)``: the replayed files'
+        outcomes and bundles, and for every other file its ``(parse
+        key, check key)`` with ``None`` for a stage that hit.  Both
+        stages are looked up and counted per file (``cache.hits`` /
+        ``cache.misses`` with ``stage=parse|check``), except that a
+        stored parse failure has no check entry to look up.
         """
-        if not paths:
-            return [], set()
-        tracer = self.tracer
-        if self.jobs <= 1 or len(paths) <= 1:
-            # Serial path: byte-for-byte the pre-engine behavior (and the
-            # module-global ``parse_translation_unit`` stays patchable).
-            timings = tracer.metrics.histogram("pipeline.parse_seconds")
-            outcomes: List[ParseOutcome] = []
-            for path in paths:
-                with tracer.span("parse_file", path=path) as span:
-                    try:
-                        unit = parse_translation_unit(sources[path], path)
-                    except SourceError as error:
-                        span.set("failed", 1)
-                        outcomes.append(ParseOutcome(path, error=error))
-                    except Exception as error:
-                        if self.config.strict:
-                            raise
-                        span.set("failed", 1)
-                        outcomes.append(ParseOutcome(path, crash=make_crash(
-                            "parse", "parse", error, path=path)))
-                    else:
-                        outcomes.append(ParseOutcome(path, unit=unit))
-                if tracer.enabled:
-                    timings.observe(span.duration)
-            return outcomes, set()
         cache = self.config.cache
-        tasks = [
-            ParseTask(items=[(path, sources[path]) for path in chunk],
-                      worker=index, traced=tracer.enabled,
-                      strict=self.config.strict,
-                      logged=self.log.enabled)
-            for index, chunk in enumerate(chunk_evenly(paths, self.jobs))]
-        shard_dirs = self._worker_shards(
-            tasks, lambda task: [
-                cache.key_for(PARSE_TAG, path, source)
-                for path, source in task.items])
-        outcomes = []
+        counter = self.tracer.metrics.counter
+        bundle_tag = "|".join(checker.fingerprint() for checker in per_unit)
+        outcomes: Dict[str, ParseOutcome] = {}
+        bundles: Dict[str, Bundle] = {}
+        keys: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
+        for path in paths:
+            source = sources[path]
+            parse_key = cache.key_for(PARSE_TAG, path, source)
+            outcome = cache.get(parse_key)
+            parse_missed = outcome is CACHE_MISS
+            counter("cache.misses" if parse_missed else "cache.hits",
+                    stage="parse").inc()
+            if not parse_missed and outcome.unit is None:
+                outcomes[path] = outcome  # a stored parse failure
+                continue
+            check_key = cache.key_for(CHECK_TAG, path, source, bundle_tag)
+            bundle = cache.get(check_key)
+            check_missed = bundle is CACHE_MISS
+            counter("cache.misses" if check_missed else "cache.hits",
+                    stage="check").inc()
+            if parse_missed or check_missed:
+                keys[path] = (parse_key if parse_missed else None,
+                              check_key if check_missed else None)
+            else:
+                outcomes[path] = outcome
+                bundles[path] = bundle
+        return outcomes, bundles, keys
+
+    def _sweep_pending(self, paths: List[str],
+                       sources: Mapping[str, str],
+                       per_unit: List[Checker],
+                       keys: Dict[str, Tuple[Optional[str], Optional[str]]],
+                       parse_span: Span
+                       ) -> List[Tuple[ParseOutcome, Optional[Bundle]]]:
+        """Run the per-file pass over ``paths``, fanned out when
+        ``jobs > 1``, persisting each file's missed entries (``keys``,
+        see :meth:`_replay`) when a store is configured."""
+        if not paths:
+            return []
+        tracer = self.tracer
+        cache = self.config.cache
+        strict = self.config.strict
+
+        def task_for(chunk: List[str], worker: int,
+                     checkers: List[Checker]) -> FileTask:
+            return FileTask(
+                items=[(path, sources[path]) for path in chunk],
+                checkers=checkers, worker=worker,
+                traced=tracer.enabled, strict=strict,
+                logged=self.log.enabled,
+                keys=([keys[path] for path in chunk]
+                      if cache is not None else None))
+
+        if self.jobs <= 1 or len(paths) <= 1:
+            # Serial: the same pass in-process, straight into the
+            # parent's trace, log and store.
+            return sweep_files(task_for(paths, 0, per_unit), tracer,
+                               self.log, cache)
+        tasks = [task_for(chunk, index,
+                          [checker.for_paths(chunk) for checker in per_unit])
+                 for index, chunk in enumerate(
+                     chunk_evenly(paths, self.jobs))]
+        shard_dirs = self._worker_shards(tasks)
+        results: List[Tuple[ParseOutcome, Optional[Bundle]]] = []
         # Absorb-or-remove the worker shard areas even when the pool is
         # torn down mid-flight (KeyboardInterrupt, SIGTERM): whatever
         # the workers already persisted folds back into the parent's
         # write area instead of leaking shard-<host>-<pid>-w* dirs.
         try:
-            for chunk_outcomes, worker_tracer, worker_events in run_tasks(
+            for chunk_results, worker_tracer, worker_events in run_tasks(
                     run_parse_task, tasks, jobs=self.jobs,
                     executor=self.config.executor,
                     timeout=self.config.task_timeout,
                     metrics=tracer.metrics, log=self.log):
-                outcomes.extend(chunk_outcomes)
+                results.extend(chunk_results)
                 graft_worker_trace(tracer, parse_span, worker_tracer)
                 self.log.graft(worker_events)
         finally:
             self._absorb_worker_shards(shard_dirs)
-        if not shard_dirs:
-            return outcomes, set()
-        return outcomes, {outcome.path for outcome in outcomes
-                          if outcome.crash is None}
+        if cache is not None and not shard_dirs:
+            for outcome, bundle in results:
+                persist(cache, keys[outcome.path], outcome, bundle)
+        return results
 
     # ------------------------------------------------------------------
     # store-backed worker fan-out
 
-    def _worker_shards(self, tasks, keys_for) -> List[str]:
+    def _worker_shards(self, tasks: List[FileTask]) -> List[str]:
         """Arm pooled tasks with private object areas, when store-backed.
 
         With a :attr:`~repro.store.objects.ObjectStore.
         worker_shard_base` configured (a ``--store`` run), each task
-        gets its cache keys and a ``shard-<host>-<pid>-w<index>/
-        objects`` area under the store root: the worker persists its
-        own results, the parent absorbs the areas on join, and a killed
-        run leaves behind valid shard directories ``repro-store merge``
-        folds in.  Caches without a base (in-memory, or a bare
-        :class:`~repro.store.objects.ObjectStore`) are untouched.
-        Returns the armed shard directories (empty when inactive).
+        gets a ``shard-<host>-<pid>-w<index>/objects`` area under the
+        store root: the worker persists its own results, the parent
+        absorbs the areas on join, and a killed run leaves behind valid
+        shard directories ``repro-store merge`` folds in.  Caches
+        without a base (in-memory, or a bare :class:`~repro.store.
+        objects.ObjectStore`) are untouched.  Returns the armed shard
+        directories (empty when inactive).
         """
         cache = self.config.cache
         base = (getattr(cache, "worker_shard_base", None)
                 if cache is not None else None)
         if base is None:
             return []
-        shard_dirs: List[str] = []
         for task in tasks:
-            task.cache_keys = keys_for(task)
             task.shard_dir = os.path.join(
                 base, default_shard_name(f"w{task.worker}"),
                 OBJECTS_DIRNAME)
-            shard_dirs.append(task.shard_dir)
-        return shard_dirs
+        return [task.shard_dir for task in tasks]
 
     def _absorb_worker_shards(self, shard_dirs: List[str]) -> None:
         """Fold worker object areas back into the cache's write area."""
@@ -407,9 +440,9 @@ class AssessmentPipeline:
     # stage 2: metrics
 
     def _measure_modules(self, sources: Mapping[str, str],
-                         units: List[TranslationUnit]
+                         units: List[UnitSummary]
                          ) -> List[ModuleMetrics]:
-        by_module: Dict[str, List[TranslationUnit]] = {}
+        by_module: Dict[str, List[UnitSummary]] = {}
         for unit in units:
             module = self.config.module_of(unit.filename)
             by_module.setdefault(module, []).append(unit)
@@ -447,147 +480,57 @@ class AssessmentPipeline:
                 checker.profile = self.config.rules
         return checkers
 
-    def _run_checkers(self, sources: Mapping[str, str],
-                      units: List[TranslationUnit]
-                      ) -> Dict[str, CheckerReport]:
-        checkers = self._checkers(sources)
-        with self.tracer.span("checkers") as checkers_span:
-            return self._run_checkers_engine(checkers, units, sources,
-                                             checkers_span)
+    def _finish_checkers(self, checkers: List[Checker],
+                         per_unit: List[Checker],
+                         units: List[UnitSummary],
+                         bundles: Dict[str, Bundle]
+                         ) -> Dict[str, CheckerReport]:
+        """The project reports, from unit summaries only.
 
-    def _run_checkers_engine(self, checkers: List[Checker],
-                             units: List[TranslationUnit],
-                             sources: Mapping[str, str],
-                             checkers_span: Span
-                             ) -> Dict[str, CheckerReport]:
-        """The checker stage: serial, fanned out, or cache-assisted.
-
-        Per-unit checkers are replayed from individual per-unit
-        reports — gathered from the cache, computed inline by the fused
-        single-sweep engine, or fanned out to workers — merged in
-        sorted-unit order and handed to each checker's
-        ``finish_from_units`` (for most, exactly the base
+        Per-unit checkers replay their per-unit reports (from the
+        per-file pass or the store), merged in sorted-unit order,
+        through ``finish_from_units`` (for most, exactly the base
         ``check_project``: merge + finalize).  Project-level checkers
-        run serially over all units, as always.
+        run ``check_project`` over all summaries.
         """
         tracer = self.tracer
-        cache = self.config.cache
-        per_unit, _ = split_checkers(checkers)
+        strict = self.config.strict
         per_unit_names = {checker.name for checker in per_unit}
-        bundle_tag = "|".join(checker.fingerprint()
-                              for checker in per_unit)
-
-        bundles: Dict[str, Dict[str, CheckerReport]] = {}
-        pending: List[TranslationUnit] = []
-        key_by_path: Dict[str, str] = {}
-        if cache is None:
-            pending = units
-        else:
-            hits = tracer.metrics.counter("cache.hits", stage="check")
-            misses = tracer.metrics.counter("cache.misses", stage="check")
-            for unit in units:
-                key = cache.key_for(CHECK_TAG, unit.filename,
-                                    sources.get(unit.filename, ""),
-                                    bundle_tag)
-                value = cache.get(key)
-                if value is CACHE_MISS:
-                    misses.inc()
-                    pending.append(unit)
-                    key_by_path[unit.filename] = key
-                else:
-                    hits.inc()
-                    bundles[unit.filename] = value
-        fresh, persisted = self._check_pending(pending, per_unit,
-                                               checkers_span, key_by_path)
-        if cache is not None:
-            for path, bundle in fresh.items():
-                # Crashed bundles are never cached (see bundle_has_crash);
-                # worker-persisted ones are not written twice.
-                if not bundle_has_crash(bundle) and path not in persisted:
-                    cache.put(key_by_path[path], bundle)
-        bundles.update(fresh)
-
-        strict = self.config.strict
         reports: Dict[str, CheckerReport] = {}
-        for checker in checkers:
-            require_unique_checker(checker, reports)
-            with tracer.span("checker", name=checker.name) as span:
-                try:
-                    if checker.name in per_unit_names:
-                        stage = "finalize"
-                        report = checker.finish_from_units(
-                            units,
-                            [bundles[unit.filename][checker.name]
-                             for unit in units])
-                    else:
-                        stage = "check_project"
-                        report = checker.check_project(units)
-                except ReproError:
-                    raise
-                except Exception as error:
-                    if strict:
+        with tracer.span("checkers"):
+            for checker in checkers:
+                require_unique_checker(checker, reports)
+                with tracer.span("checker", name=checker.name) as span:
+                    try:
+                        if checker.name in per_unit_names:
+                            stage = "finalize"
+                            report = checker.finish_from_units(
+                                units,
+                                [bundles[unit.filename][checker.name]
+                                 for unit in units])
+                        else:
+                            stage = "check_project"
+                            report = checker.check_project(units)
+                    except ReproError:
                         raise
-                    self.log.error(
-                        "checker.crash", checker=checker.name,
-                        stage=stage, span=span.id,
-                        error=f"{type(error).__name__}: {error}")
-                    report = crash_report(checker.name, make_crash(
-                        checker.name, stage, error))
-                    tracer.metrics.counter(
-                        "pipeline.checker_crashes").inc()
-                    span.set("crashed", 1)
-                span.set("findings", report.finding_count)
-            tracer.metrics.counter("checker.findings",
-                                   checker=checker.name).inc(
-                report.finding_count)
-            reports[checker.name] = report
+                    except Exception as error:
+                        if strict:
+                            raise
+                        self.log.error(
+                            "checker.crash", checker=checker.name,
+                            stage=stage, span=span.id,
+                            error=f"{type(error).__name__}: {error}")
+                        report = crash_report(checker.name, make_crash(
+                            checker.name, stage, error))
+                        tracer.metrics.counter(
+                            "pipeline.checker_crashes").inc()
+                        span.set("crashed", 1)
+                    span.set("findings", report.finding_count)
+                tracer.metrics.counter("checker.findings",
+                                       checker=checker.name).inc(
+                    report.finding_count)
+                reports[checker.name] = report
         return reports
-
-    def _check_pending(self, pending: List[TranslationUnit],
-                       per_unit: List[Checker], checkers_span: Span,
-                       key_by_path: Dict[str, str]
-                       ) -> Tuple[Dict[str, Dict[str, CheckerReport]],
-                                  Set[str]]:
-        """Per-unit reports for the cache-missed units, fanned out when
-        ``jobs > 1``; returns ``({path: {checker name: report}},
-        worker-persisted paths)`` (see :meth:`_parse_pending`)."""
-        if not pending:
-            return {}, set()
-        strict = self.config.strict
-        if self.jobs <= 1 or len(pending) <= 1:
-            return {unit.filename: fused_unit_bundle(per_unit, unit,
-                                                     strict=strict,
-                                                     log=self.log)
-                    for unit in pending}, set()
-        tracer = self.tracer
-        tasks = [
-            CheckTask(checkers=[checker.for_units(chunk)
-                                for checker in per_unit],
-                      units=chunk, worker=index, traced=tracer.enabled,
-                      strict=strict, logged=self.log.enabled)
-            for index, chunk in enumerate(
-                chunk_evenly(pending, self.jobs))]
-        shard_dirs = self._worker_shards(
-            tasks, lambda task: [key_by_path[unit.filename]
-                                 for unit in task.units])
-        bundles: Dict[str, Dict[str, CheckerReport]] = {}
-        # As in _parse_pending: fold worker shard areas back in a
-        # finally, so an interrupted pool never leaks them.
-        try:
-            for chunk_bundles, worker_tracer, worker_events in run_tasks(
-                    run_check_task, tasks, jobs=self.jobs,
-                    executor=self.config.executor,
-                    timeout=self.config.task_timeout,
-                    metrics=tracer.metrics, log=self.log):
-                bundles.update(chunk_bundles)
-                graft_worker_trace(tracer, checkers_span, worker_tracer)
-                self.log.graft(worker_events)
-        finally:
-            self._absorb_worker_shards(shard_dirs)
-        if not shard_dirs:
-            return bundles, set()
-        return bundles, {path for path, bundle in bundles.items()
-                         if not bundle_has_crash(bundle)}
 
     # ------------------------------------------------------------------
     # stage 4: evidence

@@ -9,17 +9,24 @@ genuinely ambiguous corners of C++ (which it resolves the way a metric tool
 would: conservatively).
 
 The produced :class:`TranslationUnit` is the substrate for every metric and
-checker in :mod:`repro.metrics` and :mod:`repro.checkers`.
+checker in :mod:`repro.metrics` and :mod:`repro.checkers`.  Its token-free
+:class:`UnitSummary` is what outlives the per-file pass: the store keeps
+it, process workers ship it, and project-level consumers read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+from ..rules.deviations import DeviationIndex, scan_deviations
 from . import preprocessor as _preprocessor
 from .lexer import tokenize
 from .tokens import CUDA_KEYWORDS, Token, TokenKind
+
+if TYPE_CHECKING:
+    from ..metrics.loc import LineCounts
 
 #: Keywords that open a decision point for cyclomatic complexity, matching
 #: Lizard's default counting rules.
@@ -181,8 +188,32 @@ class GlobalVariable:
         return not (self.is_const or self.is_constexpr)
 
 
+class _UnitQueries:
+    """Lookups shared by :class:`TranslationUnit` and :class:`UnitSummary`."""
+
+    filename: str
+    functions: List[FunctionInfo]
+    globals: List[GlobalVariable]
+
+    def function(self, name: str) -> FunctionInfo:
+        """Look up a function by bare or qualified name."""
+        for candidate in self.functions:
+            if candidate.name == name or candidate.qualified_name == name:
+                return candidate
+        raise KeyError(f"{self.filename} defines no function {name!r}")
+
+    @property
+    def cuda_functions(self) -> List[FunctionInfo]:
+        return [function for function in self.functions if function.is_gpu_code]
+
+    @property
+    def mutable_globals(self) -> List[GlobalVariable]:
+        return [variable for variable in self.globals
+                if variable.is_mutable_global]
+
+
 @dataclass
-class TranslationUnit:
+class TranslationUnit(_UnitQueries):
     """The fuzzy model of one source file."""
 
     filename: str
@@ -195,27 +226,63 @@ class TranslationUnit:
     preprocessor: _preprocessor.PreprocessorSummary
     line_count: int
 
-    def function(self, name: str) -> FunctionInfo:
-        """Look up a function by bare or qualified name."""
-        for candidate in self.functions:
-            if candidate.name == name or candidate.qualified_name == name:
-                return candidate
-        raise KeyError(f"{self.filename} defines no function {name!r}")
-
     def body_tokens(self, function: FunctionInfo) -> List[Token]:
         """The code tokens of a function body, braces included."""
         if function.body_start < 0:
             return []
         return self.code[function.body_start:function.body_end + 1]
 
-    @property
-    def cuda_functions(self) -> List[FunctionInfo]:
-        return [function for function in self.functions if function.is_gpu_code]
+    @cached_property
+    def deviations(self) -> DeviationIndex:
+        """The unit's ``DEVIATION(...)`` comments, scanned once."""
+        return scan_deviations(self.tokens, self.filename)
 
-    @property
-    def mutable_globals(self) -> List[GlobalVariable]:
-        return [variable for variable in self.globals
-                if variable.is_mutable_global]
+    def summary(self, source: str) -> "UnitSummary":
+        """The token-free :class:`UnitSummary` of this unit.
+
+        ``source`` is the text the unit was parsed from; its line
+        counts are taken here, while the tokens still exist.
+        """
+        # Imported here: repro.metrics imports this module.
+        from ..metrics.loc import count_lines
+        return UnitSummary(
+            filename=self.filename,
+            functions=self.functions,
+            classes=self.classes,
+            namespaces=self.namespaces,
+            globals=self.globals,
+            preprocessor=self.preprocessor,
+            line_count=self.line_count,
+            lines=count_lines(source, self.tokens),
+            deviations=self.deviations,
+        )
+
+
+@dataclass
+class UnitSummary(_UnitQueries):
+    """Everything project-level consumers need of one unit, minus tokens.
+
+    The per-file pass (lex, model, fused checker sweep) runs on the full
+    :class:`TranslationUnit`; what survives it is this summary, which is
+    what the store keeps under the parse stage tag and what process
+    workers ship back.  Metrics, the project-level checkers and report
+    routing read the same attributes from either type, so they give
+    identical results on both.
+
+    Attributes:
+        lines: the file's :class:`~repro.metrics.loc.LineCounts`.
+        deviations: the unit's ``DEVIATION(...)`` index (possibly empty).
+    """
+
+    filename: str
+    functions: List[FunctionInfo]
+    classes: List[ClassInfo]
+    namespaces: List[str]
+    globals: List[GlobalVariable]
+    preprocessor: _preprocessor.PreprocessorSummary
+    line_count: int
+    lines: "LineCounts"
+    deviations: DeviationIndex
 
 
 class _Scope:

@@ -10,9 +10,9 @@ each complexity threshold (bars).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
-from ..lang.cppmodel import TranslationUnit
+from ..lang.cppmodel import TranslationUnit, UnitSummary
 from ..obs import NULL_TRACER
 from .bands import FIGURE3_THRESHOLDS
 from .complexity import ComplexitySummary, summarize_units
@@ -49,14 +49,15 @@ class ModuleMetrics:
 
 def measure_module(name: str,
                    sources: Mapping[str, str],
-                   units: Iterable[TranslationUnit],
+                   units: Iterable[Union[TranslationUnit, UnitSummary]],
                    tracer=None) -> ModuleMetrics:
     """Aggregate metrics for one module.
 
     Args:
         name: module name (e.g. ``"perception"``).
         sources: filename -> source text, for line counting.
-        units: the parsed fuzzy models of the same files.
+        units: the parsed fuzzy models of the same files, or their
+            token-free summaries (which carry their line counts).
         tracer: optional :class:`~repro.obs.Tracer`; measurement is
             wrapped in a ``measure_module`` span carrying file and LOC
             counts.
@@ -66,8 +67,11 @@ def measure_module(name: str,
     with tracer.span("measure_module", module=name) as span:
         lines = EMPTY_LINE_COUNTS
         for unit in units:
-            source = sources.get(unit.filename, "")
-            lines = lines + count_lines(source, unit.tokens)
+            if isinstance(unit, UnitSummary):
+                lines = lines + unit.lines
+            else:
+                lines = lines + count_lines(
+                    sources.get(unit.filename, ""), unit.tokens)
         metrics = ModuleMetrics(
             name=name,
             lines=lines,

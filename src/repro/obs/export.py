@@ -66,10 +66,10 @@ def render_span_tree(source: Union[Tracer, List[Span]]) -> str:
 def _worker_tid(span: Span, base_tid: int) -> Union[int, None]:
     """The dedicated track for a grafted worker span forest, if any.
 
-    Worker root spans (``parse_worker``, ``checker_worker``) carry a
-    ``worker`` chunk index; each gets its own ``tid`` so parallel
-    chunks render as one row per worker in the trace viewer instead of
-    interleaving on the main track.
+    Worker root spans (``parse_worker``) carry a ``worker`` chunk
+    index; each gets its own ``tid`` so parallel chunks render as one
+    row per worker in the trace viewer instead of interleaving on the
+    main track.
     """
     if not span.name.endswith("_worker"):
         return None

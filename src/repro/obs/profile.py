@@ -11,7 +11,8 @@ Three flat tables over the span forest, all printed by
   all ``checker`` spans together), the stage-level answer to "where
   does the wall time actually go";
 * :func:`hotspots` / :func:`render_hotspots` — the slowest files
-  (``parse_file`` spans by ``path``) crossed with the slowest checkers
+  (``parse_file`` + ``sweep_unit`` spans by ``path``) crossed with the
+  slowest checkers
   (``checker`` spans by ``name``); the top-K also lands in each
   :class:`~repro.obs.runlog.RunRecord` so the ledger remembers where
   past runs spent their time.
@@ -103,7 +104,8 @@ def hotspots(source: Union[Tracer, List[Span]],
              limit: int = 10) -> Dict[str, List[Dict]]:
     """The slowest files and checkers, by summed span time.
 
-    Files aggregate ``parse_file`` spans per ``path`` attribute (a
+    Files aggregate ``parse_file`` plus ``sweep_unit`` spans (lex and
+    model, then the fused checker sweep) per ``path`` attribute (a
     file parsed in several runs of one trace sums); checkers aggregate
     ``checker`` spans per ``name``.  Returns
     ``{"files": [{"path", "seconds"}...],
@@ -114,7 +116,7 @@ def hotspots(source: Union[Tracer, List[Span]],
     files: Dict[str, float] = {}
     checkers: Dict[str, float] = {}
     for span in _all_spans(source):
-        if span.name == "parse_file":
+        if span.name in ("parse_file", "sweep_unit"):
             path = str(span.attributes.get("path", "<unknown>"))
             files[path] = files.get(path, 0.0) + span.duration
         elif span.name == "checker":

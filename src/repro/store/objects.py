@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ..obs.log import NULL_LOG, EventLog
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry
@@ -271,14 +271,9 @@ class ObjectStore:
     # ------------------------------------------------------------------
     # area iteration and bulk moves (merge / gc building blocks)
 
-    def entries(self, root: Optional[str] = None
-                ) -> Iterator[Tuple[str, str]]:
-        """Yield ``(key, path)`` for every entry in an area, sorted.
-
-        Sorted traversal keeps everything built on top (merges, GC
-        decisions, stats) deterministic.  Missing areas yield nothing.
-        """
-        area = root if root is not None else self.root
+    def _buckets(self, area: str) -> Iterator[Tuple[str, List[str]]]:
+        """``(fanout directory, sorted file names)`` for every bucket
+        of an area, sorted; a missing area yields nothing."""
         try:
             subdirectories = sorted(os.listdir(area))
         except OSError:
@@ -289,6 +284,17 @@ class ObjectStore:
                 names = sorted(os.listdir(directory))
             except (OSError, NotADirectoryError):
                 continue
+            yield directory, names
+
+    def entries(self, root: Optional[str] = None
+                ) -> Iterator[Tuple[str, str]]:
+        """Yield ``(key, path)`` for every entry in an area, sorted.
+
+        Sorted traversal keeps everything built on top (merges, GC
+        decisions, stats) deterministic.  Missing areas yield nothing.
+        """
+        for directory, names in self._buckets(
+                root if root is not None else self.root):
             for name in names:
                 if name.endswith(".pkl"):
                     yield name[:-4], os.path.join(directory, name)
@@ -298,24 +304,51 @@ class ObjectStore:
 
         The fan-out join: worker shards produced under
         :attr:`worker_shard_base` are folded back with same-filesystem
-        ``os.replace`` — no re-pickling, no copies.  An entry already
-        present in the write area wins (it is content-addressed: same
-        key, same value).  Returns the number of entries absorbed;
-        never raises.
+        renames — no re-pickling, no copies.  A fanout directory the
+        write area lacks moves whole, in one rename; otherwise entries
+        move one by one, and an entry already present in the write area
+        wins (it is content-addressed: same key, same value).  Returns
+        the number of entries absorbed; never raises.
         """
         absorbed = 0
-        for key, path in list(self.entries(area_root)):
-            destination = self.entry_path(key, self.write_root)
-            try:
-                os.makedirs(os.path.dirname(destination), exist_ok=True)
-                if os.path.exists(destination):
-                    os.remove(path)
-                else:
-                    os.replace(path, destination)
-                    absorbed += 1
-                    self.puts += 1
-                    self.metrics.counter("cache.puts").inc()
-                self.referenced.add(key)
-            except OSError:
+        for directory, names in list(self._buckets(area_root)):
+            keys = [name[:-4] for name in names if name.endswith(".pkl")]
+            if len(keys) == len(names) and self._adopt_bucket(directory,
+                                                              keys):
+                absorbed += len(keys)
                 continue
+            for key in keys:
+                path = os.path.join(directory, key + ".pkl")
+                destination = self.entry_path(key, self.write_root)
+                try:
+                    os.makedirs(os.path.dirname(destination),
+                                exist_ok=True)
+                    if os.path.exists(destination):
+                        os.remove(path)
+                    else:
+                        os.replace(path, destination)
+                        absorbed += 1
+                        self.puts += 1
+                        self.metrics.counter("cache.puts").inc()
+                    self.referenced.add(key)
+                except OSError:
+                    continue
         return absorbed
+
+    def _adopt_bucket(self, directory: str, keys: List[str]) -> bool:
+        """Move a whole fanout directory of entries into the write area
+        with one rename, when the write area has no such directory yet.
+        True when adopted, with every key accounted as put."""
+        destination = os.path.join(self.write_root,
+                                   os.path.basename(directory))
+        try:
+            if not keys or os.path.exists(destination):
+                return False
+            os.makedirs(self.write_root, exist_ok=True)
+            os.rename(directory, destination)
+        except OSError:
+            return False
+        self.puts += len(keys)
+        self.metrics.counter("cache.puts").inc(len(keys))
+        self.referenced.update(keys)
+        return True

@@ -107,16 +107,16 @@ class TestPipeline:
         assert result.unit_count == 4
 
     def test_unparseable_file_recorded(self, monkeypatch):
-        from repro.core import pipeline as pipeline_module
+        from repro.core import parallel as parallel_module
         from repro.errors import ParseError
-        real = pipeline_module.parse_translation_unit
+        real = parallel_module.parse_translation_unit
 
         def flaky(source, path):
             if path.startswith("broken/"):
                 raise ParseError("boom", path, 1, 1)
             return real(source, path)
 
-        monkeypatch.setattr(pipeline_module, "parse_translation_unit",
+        monkeypatch.setattr(parallel_module, "parse_translation_unit",
                             flaky)
         sources = dict(APOLLO_LIKE)
         sources["broken/poison.cc"] = "int x;\n"
@@ -125,13 +125,13 @@ class TestPipeline:
         assert result.unit_count == 3
 
     def test_strict_mode_raises_on_unparseable(self, monkeypatch):
-        from repro.core import pipeline as pipeline_module
+        from repro.core import parallel as parallel_module
         from repro.errors import ParseError
 
         def always_fail(source, path):
             raise ParseError("boom", path, 1, 1)
 
-        monkeypatch.setattr(pipeline_module, "parse_translation_unit",
+        monkeypatch.setattr(parallel_module, "parse_translation_unit",
                             always_fail)
         config = PipelineConfig(skip_unparseable=False)
         with pytest.raises(ParseError):

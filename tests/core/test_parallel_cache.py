@@ -205,12 +205,10 @@ class TestCheckerProtocol:
         assert Checker.version in default
 
     def test_style_for_units_prunes_sources(self):
-        from repro.lang.cppmodel import parse_translation_unit
         style = StyleChecker()
         style.add_source("a.cc", "int a;\n")
         style.add_source("b.cc", "int b;\n")
-        unit = parse_translation_unit("int a;\n", "a.cc")
-        pruned = style.for_units([unit])
+        pruned = style.for_paths(["a.cc"])
         assert pruned._sources == {"a.cc": "int a;\n"}
         assert pruned.config is style.config
 
@@ -352,9 +350,13 @@ class TestParallelTelemetry:
         tracer = Tracer()
         AssessmentPipeline(PipelineConfig(
             tracer=tracer, jobs=4)).run(corpus_sources)
+        # one pool round: each worker chunk parses and sweeps its files
         assert len(tracer.find("parse_worker")) == 4
-        assert len(tracer.find("checker_worker")) == 4
+        assert tracer.find("checker_worker") == []
         assert len(tracer.find("parse_file")) == len(corpus_sources)
+        assert sorted(span.attributes["path"]
+                      for span in tracer.find("sweep_unit")) == \
+            sorted(corpus_sources)
         histogram = tracer.metrics.histogram("pipeline.parse_seconds")
         assert histogram.count == len(corpus_sources)
         # worker spans hang off the parse span in the grafted tree
@@ -363,14 +365,19 @@ class TestParallelTelemetry:
 
     def test_task_payloads_pickle(self, corpus_sources):
         # the process executor's hard requirement
-        from repro.core.parallel import ParseTask, run_parse_task
-        task = ParseTask(items=sorted(corpus_sources.items())[:2],
-                         worker=0, traced=True, logged=True)
-        outcomes, tracer, events = run_parse_task(
+        from repro.core.parallel import FileTask, run_parse_task
+        items = sorted(corpus_sources.items())[:2]
+        per_unit, _ = split_checkers(
+            AssessmentPipeline()._checkers(corpus_sources))
+        task = FileTask(items=items,
+                        checkers=[checker.for_paths([p for p, _ in items])
+                                  for checker in per_unit],
+                        worker=0, traced=True, logged=True)
+        results, tracer, events = run_parse_task(
             pickle.loads(pickle.dumps(task)))
         rebuilt, _, replayed = pickle.loads(
-            pickle.dumps((outcomes, tracer, events)))
-        assert [o.path for o in rebuilt] == [o.path for o in outcomes]
+            pickle.dumps((results, tracer, events)))
+        assert [o.path for o, _ in rebuilt] == [o.path for o, _ in results]
         assert replayed == events and events[-1]["event"] == "worker.parse"
 
 

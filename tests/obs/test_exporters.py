@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -104,6 +106,24 @@ class TestProfile:
         rendered = render_hotspots(tracer, limit=2)
         assert "slowest files x checkers" in rendered
         assert "slow.cc" in rendered and "style" in rendered
+
+    def test_hotspots_add_sweep_to_parse_time(self):
+        # a file's cost is its lex+model time plus its checker sweep
+        tracer = Tracer(clock=FakeClock(step=0.5))
+        with tracer.span("pipeline"):
+            with tracer.span("parse_file", path="swept.cc"):
+                pass
+            with tracer.span("sweep_unit", path="swept.cc"):
+                with tracer.span("sweep_unit", path="swept.cc"):
+                    pass
+            with tracer.span("parse_file", path="parsed.cc"):
+                with tracer.span("parse_file", path="parsed.cc"):
+                    pass
+        table = hotspots(tracer)
+        assert [row["path"] for row in table["files"]] == \
+            ["swept.cc", "parsed.cc"]
+        assert table["files"][0]["seconds"] == pytest.approx(
+            0.5 + 1.5 + 0.5)
 
     def test_hotspots_empty_trace(self):
         table = hotspots(Tracer())

@@ -103,9 +103,9 @@ class TestPipelineTelemetry:
         tracer = Tracer()
         sources = dict(SOURCES)
         config = PipelineConfig(tracer=tracer)
-        import repro.core.pipeline as pipeline_module
+        import repro.core.parallel as parallel_module
         from repro.errors import ParseError
-        real = pipeline_module.parse_translation_unit
+        real = parallel_module.parse_translation_unit
 
         def flaky(source, path):
             if path.startswith("broken/"):
@@ -113,12 +113,12 @@ class TestPipelineTelemetry:
             return real(source, path)
 
         sources["broken/poison.cc"] = "int x;\n"
-        original = pipeline_module.parse_translation_unit
-        pipeline_module.parse_translation_unit = flaky
+        original = parallel_module.parse_translation_unit
+        parallel_module.parse_translation_unit = flaky
         try:
             AssessmentPipeline(config).run(sources)
         finally:
-            pipeline_module.parse_translation_unit = original
+            parallel_module.parse_translation_unit = original
         assert tracer.metrics.counter_value("pipeline.parse_failures") == 1
         failed = [span for span in tracer.find("parse_file")
                   if span.attributes.get("failed")]

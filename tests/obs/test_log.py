@@ -127,16 +127,16 @@ class TestPipelineEvents:
         assert "run.degraded" not in {e["event"] for e in events}
 
     def test_parse_failure_event(self, monkeypatch):
-        from repro.core import pipeline as pipeline_module
+        from repro.core import parallel as parallel_module
         from repro.errors import ParseError
-        real = pipeline_module.parse_translation_unit
+        real = parallel_module.parse_translation_unit
 
         def flaky(source, path):
             if path.startswith("broken/"):
                 raise ParseError("boom", path, 1, 1)
             return real(source, path)
 
-        monkeypatch.setattr(pipeline_module, "parse_translation_unit",
+        monkeypatch.setattr(parallel_module, "parse_translation_unit",
                             flaky)
         from repro.obs import Tracer
         stream = io.StringIO()
@@ -176,12 +176,12 @@ class TestPipelineEvents:
             log=EventLog(stream, level="debug", run_id="fan-out"),
             jobs=2, executor=executor)).run(sources)
         events = read_events(stream)
+        # one pool round: each chunk parses and checks its files
         parse_chunks = [e for e in events
                         if e["event"] == "worker.parse"]
-        check_chunks = [e for e in events
-                        if e["event"] == "worker.check"]
         assert {e["worker"] for e in parse_chunks} == {0, 1}
-        assert {e["worker"] for e in check_chunks} == {0, 1}
+        assert all(e["checkers"] > 0 for e in parse_chunks)
+        assert not [e for e in events if e["event"] == "worker.check"]
         assert sum(e["files"] for e in parse_chunks) == len(sources)
         # grafted events carry the parent's run id and sequencing
         assert all(e["run"] == "fan-out" for e in events)

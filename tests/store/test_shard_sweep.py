@@ -110,8 +110,8 @@ class TestInterruptedRunLeaksNothing:
                     # simulate a worker that persisted one result
                     # before the pool was torn down
                     area = ObjectStore(task.shard_dir)
-                    area.put(task.cache_keys[0], {"partial": True})
-                    armed.append((task.shard_dir, task.cache_keys[0]))
+                    area.put(task.keys[0][0], {"partial": True})
+                    armed.append((task.shard_dir, task.keys[0][0]))
             raise KeyboardInterrupt()
 
         monkeypatch.setattr("repro.core.pipeline.run_tasks",
